@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands map onto the library surface: ``compute`` (exact polynomials
-from the subgraph engine), ``family`` (closed forms), ``oracle`` (direct
+from the Z engines), ``family`` (closed forms), ``oracle`` (direct
 coloring enumeration for cross-checks), ``check`` (identity suite),
 ``strips`` (transfer multiplicity structure), ``zeros`` (univariate zero
 slices), ``phi`` and ``qc`` (infinite-circuit asymptotics).
 
 Output is one JSON document per invocation with sorted keys, so repeated
 runs are byte-identical.  Exit status: 0 on success, 1 when a requested
-check fails, 2 on usage errors (argparse's convention).
+check fails or on a domain error, 2 on usage errors and unreadable input
+(argparse's convention), with an error message and no traceback.
 """
 
 from __future__ import annotations
@@ -16,32 +17,44 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, families, identities, strips, zeros
-from .errors import ChromfieldError
+from .errors import BadInputError, ChromfieldError
 from .graphs import FAMILY_BUILDERS, Graph, make_family
 from .partition import (chromatic_poly, oracle_z, ph_poly, tutte_poly, z_poly,
                         zero_field_poly)
 from .poly import MultiPoly
 
 
+def _parse_family(text: str) -> tuple[str, int]:
+    kind, _, size = text.partition(":")
+    try:
+        return kind, int(size)
+    except ValueError:
+        raise BadInputError(
+            f"--family wants KIND:N with an integer N, got {text!r}") from None
+
+
 def _load_graph(args) -> Graph:
     if args.family:
-        kind, _, size = args.family.partition(":")
-        if not size:
-            raise SystemExit(f"--family wants KIND:N, got {args.family!r}")
-        return make_family(kind, int(size))
+        return make_family(*_parse_family(args.family))
     if args.graph:
-        text = (sys.stdin.read() if args.graph == "-"
-                else Path(args.graph).read_text())
+        try:
+            text = (sys.stdin.read() if args.graph == "-"
+                    else Path(args.graph).read_text())
+        except OSError as exc:
+            raise BadInputError(f"cannot read {args.graph}: {exc.strerror}") from None
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return Graph.from_json_dict(json.loads(text))
+            try:
+                return Graph.from_json_dict(json.loads(text))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise BadInputError(f"bad JSON graph: {exc!r}") from None
         return Graph.from_edge_list_text(text)
-    raise SystemExit("need --graph FILE or --family KIND:N")
+    print("error: need --graph FILE or --family KIND:N", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _add_graph_args(sub) -> None:
@@ -62,7 +75,6 @@ def _poly_payload(p: MultiPoly, names=None) -> dict:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    start = time.perf_counter()
     if args.mode == "z":
         p, names = z_poly(g, args.workers), None
     elif args.mode == "ph":
@@ -73,14 +85,12 @@ def _cmd_compute(args) -> int:
         p, names = chromatic_poly(g), None
     else:
         p, names = tutte_poly(g), ("x", "y", "_", "_")
-    wall_ms = (time.perf_counter() - start) * 1000
     payload = {
         "graph_hash": g.graph_hash(),
         "n": g.n,
         "edges": g.e,
         "mode": args.mode,
         "poly": _poly_payload(p, names),
-        "wall_ms": round(wall_ms, 3),
     }
     if args.text:
         payload["text"] = p.render(names=names or ("q", "s", "v", "w"))
@@ -89,8 +99,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    kind, _, size = args.family.partition(":")
-    n = int(size)
+    kind, n = _parse_family(args.family)
     p = families.family_ph(kind, n) if args.ph else families.family_z(kind, n)
     _emit({
         "family": kind,
@@ -161,7 +170,11 @@ def _cmd_zeros(args) -> int:
         if not item:
             continue
         name, _, val = item.partition("=")
-        fixed[name.strip()] = float(Fraction(val))
+        try:
+            fixed[name.strip()] = float(Fraction(val))
+        except (ValueError, ZeroDivisionError):
+            raise BadInputError(
+                f"--fix wants name=number, got {item!r}") from None
     sl = zeros.zeros_in(p, args.var, fixed, drop_tol=args.drop_tol)
     _emit({
         "graph_hash": g.graph_hash(),
@@ -211,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "weighted-set chromatic polynomials")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="exact polynomial via the subgraph engine")
+    p = sub.add_parser("compute", help="exact polynomial via the Z engines")
     _add_graph_args(p)
     p.add_argument("--mode", default="z",
                    choices=["z", "ph", "zero-field", "tutte", "chromatic"])
@@ -270,6 +283,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BadInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ChromfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

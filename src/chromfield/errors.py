@@ -9,6 +9,10 @@ class CapExceededError(ChromfieldError):
     """A combinatorial enumeration would exceed its configured size cap."""
 
 
+class BadInputError(ChromfieldError, ValueError):
+    """Input text, a name or a setting cannot be parsed or contradicts itself."""
+
+
 class LoopyGraphError(ChromfieldError):
     """Partition-function evaluation was requested on a graph with a loop."""
 

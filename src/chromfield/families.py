@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadSizeError, NotExpressibleError
+from .errors import BadInputError, BadSizeError, NotExpressibleError
 from .poly import ONE, Q, S, V, W, MultiPoly
 
 QT = Q - S
@@ -139,7 +139,7 @@ def family_z(kind: str, n: int) -> MultiPoly:
             "no closed form is provided for Z on complete graphs; "
             "use the subgraph engine, or family_ph for the v = -1 slice")
     if kind not in _Z_BUILDERS:
-        raise ValueError(f"unknown family {kind!r}")
+        raise BadInputError(f"unknown family {kind!r}")
     return _Z_BUILDERS[kind](n)
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadSizeError
+from .errors import BadInputError, BadSizeError
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Graph:
         for e in edges:
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {(u, v)} out of range for n={n}")
+                raise BadInputError(f"edge {(u, v)} out of range for n={n}")
             norm.append((u, v) if u <= v else (v, u))
         return Graph(n=n, edges=tuple(norm), name=name)
 
@@ -179,15 +179,19 @@ class Graph:
         rows = [r for r in (line.strip() for line in text.splitlines())
                 if r and not r.startswith("#")]
         if not rows:
-            raise ValueError("empty edge-list input")
-        head = rows[0].split()
-        n, m = int(head[0]), int(head[1])
-        if len(rows) - 1 != m:
-            raise ValueError(f"header says {m} edges, found {len(rows) - 1}")
-        edges = []
-        for r in rows[1:]:
-            u, v = r.split()[:2]
-            edges.append((int(u), int(v)))
+            raise BadInputError("empty edge-list input")
+
+        def pair(row: str) -> tuple[int, int]:
+            u, v = (int(x) for x in row.split()[:2])
+            return u, v
+
+        try:
+            n, m = pair(rows[0])
+            edges = [pair(r) for r in rows[1:]]
+        except ValueError:
+            raise BadInputError("edge-list lines must start with two integers") from None
+        if len(edges) != m:
+            raise BadInputError(f"header says {m} edges, found {len(edges)}")
         return cls.make(n, edges)
 
 
@@ -266,8 +270,8 @@ def make_family(kind: str, n: int) -> Graph:
             raise BadSizeError("c4d is defined only for n = 4")
         return square_with_diagonal()
     if kind not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {kind!r}; choose from "
-                         f"{sorted(FAMILY_BUILDERS) + ['c4d']}")
+        raise BadInputError(f"unknown family {kind!r}; choose from "
+                            f"{sorted(FAMILY_BUILDERS) + ['c4d']}")
     return FAMILY_BUILDERS[kind](n)
 
 

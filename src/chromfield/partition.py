@@ -11,11 +11,25 @@ chromatic polynomial Ph(G, q, s, w): the sum over proper q-colorings of
 w^{#vertices colored from the distinguished set {1..s}}.  Setting s = 0 (or
 w = 1) recovers the random-cluster form sum v^{e'} q^{k'}.
 
-The engine walks the 2^e subgraphs depth-first with a rollback union-find,
-so each edge decision costs O(alpha(n)) and common prefixes are shared.  A
-leaf only records (component-size multiset, edge count); the polynomial
-assembly afterwards runs over the handful of distinct size multisets, in the
-basis qt = q - s, and converts to (q, s, v, w) once at the end.
+Two engines compute Z; both assemble it in the basis qt = q - s and convert
+to (q, s, v, w) once at the end, and both are bound by the same edge and
+vertex caps.
+
+- The walk (``subgraph_counts``) visits the 2^e subgraphs depth-first with
+  a rollback union-find, so each edge decision costs O(alpha(n)) and common
+  prefixes are shared.  A leaf only records (component-size multiset, edge
+  count) in 6-bit fields, so it refuses graphs with more than 63 edges.  It
+  is the only engine with a parallel path, and ``zero_field_poly``,
+  ``chromatic_poly`` and ``tutte_poly`` always use it.
+- The frontier transfer engine (``frontier``) sweeps the vertices in a
+  greedy minimum-frontier order and keeps labelled set partitions of the
+  frontier; its cost grows with the length of the graph, not 2^e.
+
+``z_poly`` (and so ``ph_poly``) chooses from the graph alone: the frontier
+engine when ``frontier.plan`` finds an order whose frontier never exceeds 4
+vertices and whose estimated work is well below 2^e -- strips and circuits
+from about 13 edges on -- and the walk otherwise, as on complete graphs,
+circulants such as C10(1,2) and small graphs.
 
 A second, fully independent route enumerates the q^n colorings directly
 (``oracle_count_table`` and friends); it exists to cross-check the cluster
@@ -30,7 +44,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import BadDecompositionError, CapExceededError, LoopyGraphError
+from . import frontier
+from .errors import (BadDecompositionError, BadInputError, CapExceededError,
+                     LoopyGraphError)
 from .graphs import Graph
 from .poly import MultiPoly
 
@@ -45,12 +61,22 @@ _CNT_BITS = 6
 _CNT_MASK = (1 << _CNT_BITS) - 1
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadInputError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _edge_cap() -> int:
-    return int(os.environ.get("CHROMFIELD_EDGE_CAP", DEFAULT_EDGE_CAP))
+    return _env_int("CHROMFIELD_EDGE_CAP", DEFAULT_EDGE_CAP)
 
 
 def _oracle_cap() -> int:
-    return int(os.environ.get("CHROMFIELD_ORACLE_CAP", DEFAULT_ORACLE_CAP))
+    return _env_int("CHROMFIELD_ORACLE_CAP", DEFAULT_ORACLE_CAP)
 
 
 def _check_caps(g: Graph) -> None:
@@ -160,10 +186,15 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
     """Leaf counters of the spanning-subgraph walk.
 
     Keys pack the component-size multiset (6 bits of count per size) with
-    the chosen-edge count in the low 6 bits.  With ``workers > 1`` the first
-    few edge decisions are fixed per task and the task counters are merged.
+    the chosen-edge count in the low 6 bits, so graphs with more than 63
+    edges are refused whatever the edge cap says.  With ``workers > 1`` the
+    first few edge decisions are fixed per task and the task counters are
+    merged.
     """
     _check_caps(g)
+    if g.e > _CNT_MASK:
+        raise CapExceededError(
+            f"{g.e} edges exceeds the walk's packing limit of {_CNT_MASK}")
     n, edges = g.n, g.edges
     if workers <= 1 or g.e < 6:
         counts: dict[int, int] = {}
@@ -219,7 +250,12 @@ def _counts_to_z(counts: dict[int, int], n: int) -> MultiPoly:
             for (a, se, we), c in prod.items():
                 k = (a, se, m, we)
                 acc[k] = acc.get(k, 0) + mult * c
-    # one binomial pass qt^a -> sum_r C(a, r) q^r (-s)^(a-r)
+    return _qt_to_z(acc)
+
+
+def _qt_to_z(acc: dict[tuple[int, int, int, int], int]) -> MultiPoly:
+    """Z from its (qt, s, v, w) coefficients: one binomial pass
+    qt^a -> sum_r C(a, r) q^r (-s)^(a-r)."""
     out: dict[tuple[int, int, int, int], int] = {}
     for (a, se, ve, we), c in acc.items():
         for r in range(a + 1):
@@ -229,7 +265,16 @@ def _counts_to_z(counts: dict[int, int], n: int) -> MultiPoly:
 
 
 def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
-    """Z(G, q, s, v, w) as an exact polynomial."""
+    """Z(G, q, s, v, w) as an exact polynomial.
+
+    Uses the frontier transfer engine where ``frontier.plan`` finds a
+    narrow vertex order, else the subgraph walk (``workers`` applies only
+    to the walk).
+    """
+    _check_caps(g)
+    steps = frontier.plan(g)
+    if steps is not None:
+        return _qt_to_z(frontier.transfer_z(g, steps))
     return _counts_to_z(subgraph_counts(g, workers), g.n)
 
 

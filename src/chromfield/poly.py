@@ -219,9 +219,13 @@ class MultiPoly:
         poly_pows: dict[str, dict[int, MultiPoly]] = {
             n: {0: MultiPoly.one()} for n in bindings
         }
-        acc: dict[Exponent, Fraction] = {}
+        # int bindings keep the arithmetic in ints; any other scalar is
+        # made an exact Fraction
+        scalars = {n: v if isinstance(v, int) else Fraction(v)
+                   for n, v in bindings.items() if not isinstance(v, MultiPoly)}
+        acc: dict[Exponent, Scalar] = {}
         for exp, c in self.terms.items():
-            scalar = Fraction(c)
+            scalar = c
             poly_part: MultiPoly | None = None
             kept = [0, 0, 0, 0]
             for i, name in enumerate(VARS):
@@ -231,26 +235,26 @@ class MultiPoly:
                 if name not in bindings:
                     kept[i] = e
                     continue
+                if name in scalars:
+                    scalar *= scalars[name] ** e
+                    continue
                 val = bindings[name]
-                if isinstance(val, MultiPoly):
-                    cache = poly_pows[name]
-                    if e not in cache:
-                        p = cache[max(cache)]
-                        for _ in range(max(cache), e):
-                            p = p * val
-                            cache[max(cache) + 1] = p
-                    pw = cache[e]
-                    poly_part = pw if poly_part is None else poly_part * pw
-                else:
-                    scalar *= Fraction(val) ** e
+                cache = poly_pows[name]
+                if e not in cache:
+                    p = cache[max(cache)]
+                    for _ in range(max(cache), e):
+                        p = p * val
+                        cache[max(cache) + 1] = p
+                pw = cache[e]
+                poly_part = pw if poly_part is None else poly_part * pw
             base = tuple(kept)
             if poly_part is None:
-                acc[base] = acc.get(base, Fraction(0)) + scalar
+                acc[base] = acc.get(base, 0) + scalar
             else:
                 for pe, pc in poly_part.terms.items():
                     key = (base[0] + pe[0], base[1] + pe[1],
                            base[2] + pe[2], base[3] + pe[3])
-                    acc[key] = acc.get(key, Fraction(0)) + scalar * pc
+                    acc[key] = acc.get(key, 0) + scalar * pc
         out: dict[Exponent, int] = {}
         for exp, val in acc.items():
             if val == 0:
@@ -259,7 +263,9 @@ class MultiPoly:
                 raise NonIntegerResultError(
                     f"coefficient {val} at exponent {exp} is not an integer")
             out[exp] = int(val)
-        return MultiPoly(out)
+        res = MultiPoly.__new__(MultiPoly)
+        res.terms = out
+        return res
 
     def evaluate(self, **values):
         """Numeric evaluation; every variable present in the poly must be bound."""

@@ -32,7 +32,7 @@ def run_json(capsys, argv):
 
 def test_compute_envelope_and_poly(capsys):
     data = run_json(capsys, ["compute", "--family", "line:3", "--mode", "ph"])
-    assert set(data) == {"graph_hash", "n", "edges", "mode", "poly", "wall_ms"}
+    assert set(data) == {"graph_hash", "n", "edges", "mode", "poly"}
     assert data["n"] == 3 and data["edges"] == 2 and data["mode"] == "ph"
     assert MultiPoly.from_json_dict(data["poly"]) == ph_poly(line_graph(3))
 
@@ -188,6 +188,46 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--family", "circuit:x"],
+    ["compute", "--family", "foo:3"],
+    ["zeros", "--family", "line:2", "--var", "q", "--fix", "s=abc"],
+])
+def test_bad_argument_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_miscounted_edge_list_exit_two(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 3\n0 1\n1 2\n"))
+    code, out, err = run_cli(capsys, ["compute", "--graph", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: header says 3 edges, found 2")
+
+
+@pytest.mark.parametrize("text", ['{"n": 3, "edges": [[0, 1], [1', '{"edges": []}'])
+def test_malformed_json_graph_exit_two(capsys, monkeypatch, text):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["compute", "--graph", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad JSON graph")
+
+
+def test_missing_graph_file_exit_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["compute", "--graph", str(tmp_path / "none")])
+    assert code == 2 and err.startswith("error: cannot read")
+
+
+def test_bad_edge_cap_setting_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("CHROMFIELD_EDGE_CAP", "abc")
+    code, out, err = run_cli(capsys, ["compute", "--family", "circuit:3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: CHROMFIELD_EDGE_CAP")
+
+
 def test_missing_graph_argument_aborts():
     with pytest.raises(SystemExit):
         main(["compute", "--mode", "z"])
@@ -196,10 +236,7 @@ def test_missing_graph_argument_aborts():
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, ["compute", "--family", "star:4", "--mode", "ph"])
     _, second, _ = run_cli(capsys, ["compute", "--family", "star:4", "--mode", "ph"])
-    a, b = json.loads(first), json.loads(second)
-    a.pop("wall_ms"), b.pop("wall_ms")
-    assert a == b
-    assert first.index('"poly"') == second.index('"poly"')
+    assert first == second
 
 
 def test_module_entry_point_subprocess():

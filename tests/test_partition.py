@@ -229,6 +229,16 @@ def test_edge_cap_env_override():
     assert z_poly(complete_graph(4)) is not None
 
 
+def test_walk_refuses_more_edges_than_its_key_packing(monkeypatch):
+    # the walk keeps its edge count in 6 bits; 64 would spill into the key
+    monkeypatch.setenv("CHROMFIELD_EDGE_CAP", "100")
+    g = Graph.make(2, [(0, 1)] * 64)
+    with pytest.raises(CapExceededError):
+        subgraph_counts(g)
+    with pytest.raises(CapExceededError):
+        zero_field_poly(g)
+
+
 def test_oracle_state_cap():
     with pytest.raises(CapExceededError):
         oracle_count_table(null_graph(12), 4, 1)  # 5^12 assignments

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromfield.errors import NonIntegerResultError
-from chromfield.poly import (ONE, Q, S, V, W, MultiPoly, RationalExpr,
+from chromfield.poly import (ONE, Q, S, V, VARS, W, MultiPoly, RationalExpr,
                              exact_div)
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -86,6 +86,18 @@ def test_substitution_with_polynomial_values():
     # swap s <-> q-s composed twice is the identity
     once = z.substitute(s=Q - S)
     assert once.substitute(s=Q - S) == z
+
+
+@given(polys, st.dictionaries(st.sampled_from(VARS), st.integers(-3, 3), min_size=1),
+       st.dictionaries(st.sampled_from(VARS), polys, max_size=1))
+@settings(max_examples=40)
+def test_int_substitution_matches_fraction_path(a, ints, polys_in):
+    ints = {k: c for k, c in ints.items() if k not in polys_in}
+    got = a.substitute(**ints, **polys_in)
+    via_fraction = a.substitute(**{k: Fraction(c) for k, c in ints.items()},
+                                **polys_in)
+    assert got == via_fraction
+    assert all(type(c) is int for c in got.terms.values())
 
 
 def test_evaluate_accepts_fractions_and_floats():
