@@ -25,7 +25,7 @@ from .errors import BadInputError, ChromfieldError
 from .graphs import FAMILY_BUILDERS, Graph, make_family
 from .partition import (chromatic_poly, oracle_z, ph_poly, tutte_poly, z_poly,
                         zero_field_poly)
-from .poly import MultiPoly
+from .poly import VARS
 
 
 def _parse_family(text: str) -> tuple[str, int]:
@@ -68,21 +68,17 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _poly_payload(p: MultiPoly, names=None) -> dict:
-    data = p.to_json_dict(names or ("q", "s", "v", "w"))
-    return data
-
-
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
+    names = VARS
     if args.mode == "z":
-        p, names = z_poly(g, args.workers), None
+        p = z_poly(g, args.workers)
     elif args.mode == "ph":
-        p, names = ph_poly(g, args.workers), None
+        p = ph_poly(g, args.workers)
     elif args.mode == "zero-field":
-        p, names = zero_field_poly(g, args.workers), None
+        p = zero_field_poly(g, args.workers)
     elif args.mode == "chromatic":
-        p, names = chromatic_poly(g), None
+        p = chromatic_poly(g)
     else:
         p, names = tutte_poly(g), ("x", "y", "_", "_")
     payload = {
@@ -90,10 +86,10 @@ def _cmd_compute(args) -> int:
         "n": g.n,
         "edges": g.e,
         "mode": args.mode,
-        "poly": _poly_payload(p, names),
+        "poly": p.to_json_dict(names),
     }
     if args.text:
-        payload["text"] = p.render(names=names or ("q", "s", "v", "w"))
+        payload["text"] = p.render(names=names)
     _emit(payload)
     return 0
 
@@ -105,7 +101,7 @@ def _cmd_family(args) -> int:
         "family": kind,
         "n": n,
         "mode": "ph" if args.ph else "z",
-        "poly": _poly_payload(p),
+        "poly": p.to_json_dict(),
         "text": p.render(),
     })
     return 0
@@ -170,8 +166,13 @@ def _cmd_zeros(args) -> int:
         if not item:
             continue
         name, _, val = item.partition("=")
+        name = name.strip()
+        if name not in VARS or name == args.var:
+            others = ", ".join(v for v in VARS if v != args.var)
+            raise BadInputError(
+                f"--fix wants one of {others} (not --var {args.var}), got {name!r}")
         try:
-            fixed[name.strip()] = float(Fraction(val))
+            fixed[name] = float(Fraction(val))
         except (ValueError, ZeroDivisionError):
             raise BadInputError(
                 f"--fix wants name=number, got {item!r}") from None

@@ -29,20 +29,8 @@ class NotExpressibleError(ChromfieldError):
     """A polynomial cannot be rewritten in the requested variable basis."""
 
 
-class DegreeMismatchError(ChromfieldError):
-    """A decomposition was given a polynomial of unexpected degree."""
-
-
-class DegreeTooHighError(ChromfieldError):
-    """A univariate solve was requested above the supported degree."""
-
-
 class BadDecompositionError(ChromfieldError):
     """A supplied graph decomposition is inconsistent (labels, edges, overlap)."""
-
-
-class IdentityFailedError(ChromfieldError):
-    """An identity that should hold exactly failed to hold."""
 
 
 class NoConvergenceError(ChromfieldError):

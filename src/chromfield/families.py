@@ -100,8 +100,12 @@ def circuit_pair() -> NewtonPair:
 def z_circuit(n: int) -> MultiPoly:
     if n < 1:
         raise BadSizeError("circuit family needs n >= 1")
-    p = circuit_pair().power_sum(n)
-    return p + (S - 1) * (V * W) ** n + (QT - 1) * V ** n
+    # The recurrence runs with the q slot holding qt, where e1 and e2 have
+    # no minus signs and the power sums stay about half as long as in the
+    # q basis; the sum is rewritten in q once, at the end.
+    pair = NewtonPair(e1=Q + V + W * (S + V), e2=V * W * (Q + S + V))
+    z_qt = pair.power_sum(n) + (S - 1) * (V * W) ** n + (Q - 1) * V ** n
+    return z_qt.substitute(q=QT)
 
 
 def z_circuit_zero_field(n: int) -> MultiPoly:

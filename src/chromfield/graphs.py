@@ -41,9 +41,6 @@ class Graph:
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 
-    def loop_count(self) -> int:
-        return sum(1 for u, v in self.edges if u == v)
-
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:

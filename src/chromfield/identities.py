@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IdentityFailedError, PreconditionUnmetError
+from .errors import PreconditionUnmetError
 from .graphs import Graph
 from .partition import (alpha_layers, beta_layers, chromatic_number,
                         subgraph_counts, z_poly, zero_field_poly)
@@ -39,14 +39,17 @@ def symmetry_deviation(z: MultiPoly, n: int) -> MultiPoly:
     return z - z.substitute(s=QT).reflect("w", n)
 
 
-def reduction_deviations(g: Graph, z: MultiPoly | None = None) -> dict[str, MultiPoly]:
+def reduction_deviations(g: Graph, z: MultiPoly | None = None,
+                         zf: MultiPoly | None = None) -> dict[str, MultiPoly]:
     """The four slices of Z that collapse to zero-field sums.
 
     w=1 and s=0 give Z(G,q,v); w=0 gives Z(G,q-s,v); s=q gives w^n Z(G,q,v).
+    ``zf`` is the zero-field polynomial Z(G,q,v) when the caller has it.
     """
     if z is None:
         z = z_poly(g)
-    zf = zero_field_poly(g)
+    if zf is None:
+        zf = zero_field_poly(g)
     return {
         "w=1": z.substitute(w=1) - zf,
         "s=0": z.substitute(s=0) - zf,
@@ -78,18 +81,21 @@ class LayerReport:
     failures: list[str]
 
 
-def beta_layer_report(g: Graph, z: MultiPoly | None = None) -> LayerReport:
+def beta_layer_report(g: Graph, z: MultiPoly | None = None,
+                      zf: MultiPoly | None = None) -> LayerReport:
     """w-layer structure of Z: endpoints, reflection pairing, divisibility.
 
     beta_0 = Z(G, q-s, v); beta_n = Z(G, s, v) (q-free);
     beta_j(q,s,v) = beta_{n-j}(q, q-s, v);
     (q-s) | beta_j for j < n and s | beta_j for j > 0.
+    ``zf`` is the zero-field polynomial Z(G,q,v) when the caller has it.
     """
     if z is None:
         z = z_poly(g)
+    if zf is None:
+        zf = zero_field_poly(g)
     n = g.n
     beta = beta_layers(z, n)
-    zf = zero_field_poly(g)
     failures = []
     if beta[0] != zf.substitute(q=QT):
         failures.append("beta_0 != Z(G, q-s, v)")
@@ -107,13 +113,15 @@ def beta_layer_report(g: Graph, z: MultiPoly | None = None) -> LayerReport:
     return LayerReport(not failures, failures)
 
 
-def beta_chromatic_products(g: Graph, ph: MultiPoly) -> LayerReport:
+def beta_chromatic_products(g: Graph, ph: MultiPoly,
+                            p: MultiPoly | None = None) -> LayerReport:
     """At v=-1 the extreme w-layers carry full falling-factorial factors:
 
     prod_{j<chi} (s - j) divides beta_n and prod_{j<chi} (q - s - j)
-    divides beta_0, where chi is the chromatic number.
+    divides beta_0, where chi is the chromatic number.  ``p`` is the
+    chromatic polynomial P(G, q) when the caller has it.
     """
-    chi = chromatic_number(g)
+    chi = chromatic_number(g, p)
     beta = beta_layers(ph, g.n)
     failures = []
     top = exact_div(beta[g.n], [("lin", "s", MultiPoly.const(j))
@@ -188,12 +196,15 @@ def is_unimodal(seq) -> bool:
 
 # -- deviation measures -------------------------------------------------------
 
-def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1) -> MultiPoly:
+def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1,
+                  ze: MultiPoly | None = None) -> MultiPoly:
     """Z(G) - [Z(G-e) + v Z(G/e)]: the deletion-contraction defect.
 
-    Nonzero in general; always divisible by s*v*w*(w-1).
+    Nonzero in general; always divisible by s*v*w*(w-1).  ``ze`` is Z(G)
+    when the caller has it.
     """
-    ze = z_poly(g, workers)
+    if ze is None:
+        ze = z_poly(g, workers)
     zd = z_poly(g.delete_edge(edge_idx), workers)
     zc = z_poly(g.contract_edge(edge_idx), workers)
     return ze - (zd + V * zc)
@@ -287,11 +298,19 @@ def cycle_deviation(g: Graph, z: MultiPoly | None = None) -> RationalExpr:
     return RationalExpr(z * scaled.den - scaled.num, scaled.den)
 
 
-def multi_edge_invariance(g: Graph) -> bool:
-    """Ph ignores edge multiplicities: Ph(G) = Ph(reduce(G))."""
+def multi_edge_invariance(g: Graph, ph: MultiPoly | None = None) -> bool:
+    """Ph ignores edge multiplicities: Ph(G) = Ph(reduce(G)).
+
+    ``ph`` is Ph(G) when the caller has it; a graph without parallel edges
+    is its own reduction.
+    """
     from .partition import ph_poly
     reduced = Graph(g.n, tuple(dict.fromkeys(g.edges)), g.name)
-    return ph_poly(g) == ph_poly(reduced)
+    if reduced == g:
+        return True
+    if ph is None:
+        ph = ph_poly(g)
+    return ph == ph_poly(reduced)
 
 
 def tutte_equivalent_difference(g: Graph, h: Graph) -> MultiPoly:
@@ -384,30 +403,36 @@ class IdentityVerdict:
 
 
 def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
-    """Run every single-graph identity; used by the command-line checker."""
-    from .partition import ph_poly
+    """Run every single-graph identity; used by the command-line checker.
+
+    Z(G) and the zero-field polynomial are computed once each and handed
+    to every check; the zero-field one comes from its own walk, so the
+    s=0 reduction and beta_0 still test Z's assembly against an
+    independent decode.
+    """
     z = z_poly(g, workers)
+    zf = zero_field_poly(g, workers)
     out = []
 
     def add(name, holds, detail=""):
         out.append(IdentityVerdict(name, bool(holds), detail))
 
     add("reflection-symmetry", symmetry_deviation(z, g.n).is_zero())
-    for name, dev in reduction_deviations(g, z).items():
+    for name, dev in reduction_deviations(g, z, zf).items():
         add(f"reduction[{name}]", dev.is_zero())
     for name, dev in one_color_values(g, z).items():
         add(f"one-color[{name}]", dev.is_zero())
-    rep = beta_layer_report(g, z)
+    rep = beta_layer_report(g, z, zf)
     add("beta-layers", rep.holds, "; ".join(rep.failures))
     if not g.has_loop():
-        ph = ph_poly(g)
-        rep = beta_chromatic_products(g, ph)
+        ph = z.substitute(v=-1)
+        rep = beta_chromatic_products(g, ph, zf.substitute(v=-1))
         add("beta-chromatic-products", rep.holds, "; ".join(rep.failures))
         rep = alpha_layer_report(g, ph)
         add("alpha-layers", rep.holds, "; ".join(rep.failures))
-        add("multi-edge-invariance", multi_edge_invariance(g))
+        add("multi-edge-invariance", multi_edge_invariance(g, ph))
     for idx in range(g.e):
-        dev = dcr_deviation(g, idx, workers)
+        dev = dcr_deviation(g, idx, workers, z)
         add(f"dcr-factor[e{idx}]", has_dcr_factor(dev))
     if g.cycle_rank() == 0:
         add("forest-scaling", cycle_deviation(g, z).num.is_zero())

@@ -20,7 +20,8 @@ vertex caps.
   prefixes are shared.  A leaf only records (component-size multiset, edge
   count) in 6-bit fields, so it refuses graphs with more than 63 edges.  It
   is the only engine with a parallel path, and ``zero_field_poly``,
-  ``chromatic_poly`` and ``tutte_poly`` always use it.
+  ``chromatic_poly`` and ``tutte_poly`` always use it, through one decode
+  by (components, chosen edges).
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
@@ -31,9 +32,11 @@ vertices and whose estimated work is well below 2^e -- strips and circuits
 from about 13 edges on -- and the walk otherwise, as on complete graphs,
 circulants such as C10(1,2) and small graphs.
 
-A second, fully independent route enumerates the q^n colorings directly
-(``oracle_count_table`` and friends); it exists to cross-check the cluster
-route and is never used to feed it.
+A second, fully independent route sums over the q^n colorings instead of
+the subgraphs (``oracle_count_table`` and friends): a transfer over the
+colors of the vertices that still wait for a neighbour, in a vertex order
+of its own.  It exists to cross-check the cluster route, calls neither
+engine and is never used to feed it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import frontier
 from .errors import (BadDecompositionError, BadInputError, CapExceededError,
@@ -261,7 +262,7 @@ def _qt_to_z(acc: dict[tuple[int, int, int, int], int]) -> MultiPoly:
         for r in range(a + 1):
             k = (r, se + a - r, ve, we)
             out[k] = out.get(k, 0) + c * math.comb(a, r) * (-1) ** ((a - r) & 1)
-    return MultiPoly(out)
+    return MultiPoly._trusted(out)
 
 
 def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
@@ -285,34 +286,41 @@ def ph_poly(g: Graph, workers: int = 1) -> MultiPoly:
     return z_poly(g, workers).substitute(v=-1)
 
 
+def _component_edge_counts(g: Graph, workers: int = 1) -> dict[tuple[int, int], int]:
+    """The walk's leaves by (components, chosen edges): {(k, m): subgraphs}.
+
+    The one decode of the size-multiset keys outside ``_counts_to_z``,
+    shared by the zero-field, chromatic and Tutte polynomials.
+    """
+    out: dict[tuple[int, int], int] = {}
+    for pk, c in subgraph_counts(g, workers).items():
+        k = sum(cnt for _, cnt in _decode_multiset(pk >> _CNT_BITS, g.n))
+        key = (k, pk & _CNT_MASK)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 def zero_field_poly(g: Graph, workers: int = 1) -> MultiPoly:
     """Random-cluster Z(G, q, v) = sum v^{e'} q^{k'} (no s, w dependence)."""
-    counts = subgraph_counts(g, workers)
-    out: dict[tuple[int, int, int, int], int] = {}
-    for pk, c in counts.items():
-        key, m = pk >> _CNT_BITS, pk & _CNT_MASK
-        k_comp = sum(cnt for _, cnt in _decode_multiset(key, g.n))
-        exp = (k_comp, 0, m, 0)
-        out[exp] = out.get(exp, 0) + c
-    return MultiPoly(out)
+    return MultiPoly._trusted({(k, 0, m, 0): c for (k, m), c
+                               in _component_edge_counts(g, workers).items()})
 
 
 def chromatic_poly(g: Graph) -> MultiPoly:
     """Proper-coloring count P(G, q) via the alternating cluster sum."""
-    counts = subgraph_counts(g)
     out: dict[tuple[int, int, int, int], int] = {}
-    for pk, c in counts.items():
-        key, m = pk >> _CNT_BITS, pk & _CNT_MASK
-        k_comp = sum(cnt for _, cnt in _decode_multiset(key, g.n))
-        exp = (k_comp, 0, 0, 0)
-        out[exp] = out.get(exp, 0) + (c if m % 2 == 0 else -c)
-    return MultiPoly(out)
+    for (k, m), c in _component_edge_counts(g).items():
+        exp = (k, 0, 0, 0)
+        out[exp] = out.get(exp, 0) + (-c if m & 1 else c)
+    return MultiPoly._trusted(out)
 
 
-def chromatic_number(g: Graph) -> int:
+def chromatic_number(g: Graph, p: MultiPoly | None = None) -> int:
+    """Least q with P(G, q) > 0; ``p`` is P(G, q) when the caller has it."""
     if g.has_loop():
         raise LoopyGraphError("loops admit no proper coloring")
-    p = chromatic_poly(g)
+    if p is None:
+        p = chromatic_poly(g)
     for k in range(g.n + 1):
         if p.evaluate(q=k) > 0:
             return k
@@ -324,12 +332,9 @@ def tutte_poly(g: Graph) -> MultiPoly:
 
     Stored in the first two variable slots; render with names=("x", "y").
     """
-    counts = subgraph_counts(g)
     k_whole = g.component_count()
     out: dict[tuple[int, int, int, int], int] = {}
-    for pk, c in counts.items():
-        key, m = pk >> _CNT_BITS, pk & _CNT_MASK
-        k_comp = sum(cnt for _, cnt in _decode_multiset(key, g.n))
+    for (k_comp, m), c in _component_edge_counts(g).items():
         p = k_comp - k_whole
         cyc = m + k_comp - g.n
         for i in range(p + 1):
@@ -338,7 +343,7 @@ def tutte_poly(g: Graph) -> MultiPoly:
                 sign = (-1) ** ((p - i + cyc - j) & 1)
                 coeff = c * math.comb(p, i) * math.comb(cyc, j) * sign
                 out[exp] = out.get(exp, 0) + coeff
-    return MultiPoly(out)
+    return MultiPoly._trusted(out)
 
 
 # -- layer decompositions -----------------------------------------------------
@@ -366,36 +371,118 @@ def alpha_layers(ph: MultiPoly, n: int) -> list[MultiPoly]:
 
 # -- independent coloring-sum oracle ------------------------------------------
 
-def oracle_count_table(g: Graph, q: int, s: int) -> np.ndarray:
-    """N[m, ns] = number of q-colorings with m monochromatic edges and ns
-    vertices colored from {0..s-1}.  Exact integer counts via direct
-    enumeration of the q^n colorings (numpy, chunked)."""
+def _coloring_order(g: Graph, q: int) -> list[int]:
+    """A vertex order for the coloring transfer.
+
+    A vertex waits, colored, until all its neighbours are colored; the
+    transfer holds q^(waiting vertices) states.  From each start vertex,
+    each step colors the neighbour of a waiting vertex that leaves the
+    fewest waiting (a new component starts at its lowest-degree vertex);
+    the order with the least total of q^waiting wins.
+    """
+    n = g.n
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    best: tuple[int, list[int]] | None = None
+    for start in range(n):
+        open_nbrs = [len(s) for s in nbrs]  # neighbours not yet colored
+        placed = [False] * n
+        waiting: set[int] = set()
+        order: list[int] = []
+        cost = 0
+        x = start
+        while True:
+            placed[x] = True
+            order.append(x)
+            for y in nbrs[x]:
+                open_nbrs[y] -= 1
+                if not open_nbrs[y]:
+                    waiting.discard(y)
+            if open_nbrs[x]:
+                waiting.add(x)
+            cost += q ** len(waiting)
+            if len(order) == n:
+                break
+            cands = {y for f in waiting for y in nbrs[f] if not placed[y]}
+            if cands:
+                x = min(cands, key=lambda y: (
+                    (open_nbrs[y] > 0)
+                    - sum(1 for f in nbrs[y] & waiting if open_nbrs[f] == 1), y))
+            else:
+                x = min((y for y in range(n) if not placed[y]),
+                        key=lambda y: (len(nbrs[y]), y))
+        if best is None or cost < best[0]:
+            best = (cost, order)
+    return best[1]
+
+
+def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
+    """N[m][ns] = number of q-colorings with m monochromatic edges and ns
+    vertices colored from {0..s-1}.
+
+    Exact integer counts, summed over all q^n colorings by a transfer over
+    the colors of the waiting vertices (``_coloring_order``).  Each state
+    keeps its whole (m, ns) table in one int: the count of (m, ns) sits at
+    bit (m*(n+1) + ns)*B, where B bits hold q^n, so coloring a vertex is
+    one shift and merging two states one addition.  A loop is always
+    monochromatic and each parallel edge counts once.
+    """
     if q < 0 or not 0 <= s <= q:
         raise ValueError(f"need integers 0 <= s <= q, got q={q}, s={s}")
-    table = np.zeros((g.e + 1, g.n + 1), dtype=np.int64)
-    if g.n == 0:
-        table[0, 0] = 1
+    n = g.n
+    table = [[0] * (n + 1) for _ in range(g.e + 1)]
+    if n == 0:
+        table[0][0] = 1
         return table
     if q == 0:
         return table
-    states = q ** g.n
+    states = q ** n
     if states > _oracle_cap():
         raise CapExceededError(
             f"{states} colorings exceeds the oracle cap of {_oracle_cap()} "
             "(override with CHROMFIELD_ORACLE_CAP)")
-    radix = q ** np.arange(g.n, dtype=np.int64)
-    us = np.array([e[0] for e in g.edges], dtype=np.int64)
-    vs = np.array([e[1] for e in g.edges], dtype=np.int64)
-    chunk = 1 << 18
-    for lo in range(0, states, chunk):
-        codes = np.arange(lo, min(lo + chunk, states), dtype=np.int64)
-        cols = (codes[None, :] // radix[:, None]) % q
-        if g.e:
-            mono = (cols[us] == cols[vs]).sum(axis=0)
-        else:
-            mono = np.zeros(len(codes), dtype=np.int64)
-        ns = (cols < s).sum(axis=0)
-        np.add.at(table, (mono, ns), 1)
+    order = _coloring_order(g, q)
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    back: list[list[int]] = [[] for _ in range(n)]  # earlier ends, per edge
+    loops = [0] * n
+    done = list(pos)  # the step after which a vertex waits for no neighbour
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+            continue
+        a, b = (u, v) if pos[u] < pos[v] else (v, u)
+        back[b].append(a)
+        done[a] = max(done[a], pos[b])
+    bits = states.bit_length()
+    row = (n + 1) * bits
+    waiting: list[int] = []
+    layer: dict[tuple[int, ...], int] = {(): 1}
+    for i, x in enumerate(order):
+        idx = [waiting.index(y) for y in back[x]]
+        kept = [j for j, y in enumerate(waiting) if done[y] > i]
+        stays = done[x] > i
+        waiting = [waiting[j] for j in kept] + [x] * stays
+        nxt: dict[tuple[int, ...], int] = {}
+        for colors, packed in layer.items():
+            hits = [loops[x]] * q  # monochromatic edges x closes, per color
+            for j in idx:
+                hits[colors[j]] += 1
+            base = tuple(colors[j] for j in kept)
+            for c in range(q):
+                st = base + (c,) if stays else base
+                shift = hits[c] * row + (bits if c < s else 0)
+                nxt[st] = nxt.get(st, 0) + (packed << shift)
+        layer = nxt
+    (total,) = layer.values()
+    mask = (1 << bits) - 1
+    for m in range(g.e + 1):
+        for ns in range(n + 1):
+            table[m][ns] = (total >> (m * row + ns * bits)) & mask
     return table
 
 
@@ -412,19 +499,17 @@ def _pow_memo(base, k: int, cache: dict):
 
 
 def oracle_z(g: Graph, q: int, s: int, v, w):
-    """Z by direct coloring enumeration: sum N[m, ns] (1+v)^m w^ns.
+    """Z by the coloring sum: sum N[m][ns] (1+v)^m w^ns.
 
     ``v`` and ``w`` may be ints, Fractions, floats, or MultiPoly, so the
     result is exact whenever the inputs are.
     """
-    table = oracle_count_table(g, q, s)
     y = 1 + v
     ypow: dict = {0: y ** 0}
     wpow: dict = {0: w ** 0}
     total = 0
-    for m in range(table.shape[0]):
-        for ns in range(table.shape[1]):
-            c = int(table[m, ns])
+    for m, row in enumerate(oracle_count_table(g, q, s)):
+        for ns, c in enumerate(row):
             if c:
                 total = total + c * _pow_memo(y, m, ypow) * _pow_memo(w, ns, wpow)
     return total

@@ -53,6 +53,16 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, terms: dict[Exponent, int]) -> "MultiPoly":
+        """Wrap terms whose keys are already distinct 4-tuples of
+        non-negative ints, dropping zero coefficients only.  For engine
+        output and this class's own results; callers outside the package
+        use the validating constructor."""
+        res = cls.__new__(cls)
+        res.terms = {e: c for e, c in terms.items() if c}
+        return res
+
+    @classmethod
     def zero(cls) -> "MultiPoly":
         return cls()
 
@@ -180,7 +190,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] = 0
                 out[tuple(ne)] = c
-        return MultiPoly(out)
+        return MultiPoly._trusted(out)
 
     def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
         """All coefficients keyed by exponent of the chosen variable."""
@@ -191,7 +201,7 @@ class MultiPoly:
             k = ne[i]
             ne[i] = 0
             grouped.setdefault(k, {})[tuple(ne)] = c
-        return {k: MultiPoly(d) for k, d in grouped.items()}
+        return {k: MultiPoly._trusted(d) for k, d in grouped.items()}
 
     def content(self) -> int:
         g = 0
@@ -257,15 +267,11 @@ class MultiPoly:
                     acc[key] = acc.get(key, 0) + scalar * pc
         out: dict[Exponent, int] = {}
         for exp, val in acc.items():
-            if val == 0:
-                continue
             if val.denominator != 1:
                 raise NonIntegerResultError(
                     f"coefficient {val} at exponent {exp} is not an integer")
             out[exp] = int(val)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._trusted(out)
 
     def evaluate(self, **values):
         """Numeric evaluation; every variable present in the poly must be bound."""
@@ -297,7 +303,7 @@ class MultiPoly:
             ne = list(e)
             ne[i] = n - ne[i]
             out[tuple(ne)] = c
-        return MultiPoly(out)
+        return MultiPoly._trusted(out)
 
     def univariate(self, name: str, fixed: Mapping[str, complex]) -> list[complex]:
         """Ascending coefficient list in one variable, other variables numeric."""
@@ -323,7 +329,7 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= k
             out[tuple(ne)] = c
-        return MultiPoly(out)
+        return MultiPoly._trusted(out)
 
     def div_linear(self, name: str, shift) -> "MultiPoly | None":
         """Exact quotient by (name - shift); None if the remainder is nonzero.
@@ -355,7 +361,7 @@ class MultiPoly:
                 ne[i] += k
                 key = tuple(ne)
                 out[key] = out.get(key, 0) + c
-        return MultiPoly(out)
+        return MultiPoly._trusted(out)
 
     # -- t-basis view ---------------------------------------------------------
 
@@ -380,7 +386,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[s_slot] += j
                 shifted[tuple(ne)] = c
-            out = out + MultiPoly(shifted)
+            out = out + MultiPoly._trusted(shifted)
         return out
 
     def unrebase_t(self) -> "MultiPoly":
@@ -395,7 +401,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[s_slot] += j
                 shifted[tuple(ne)] = c
-            out = out + MultiPoly(shifted)
+            out = out + MultiPoly._trusted(shifted)
         return out
 
     # -- serialization and display --------------------------------------------

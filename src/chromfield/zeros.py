@@ -140,10 +140,6 @@ class ZeroSlice:
     nominal_degree: int
     actual_degree: int
 
-    @property
-    def degree_drop(self) -> int:
-        return self.nominal_degree - self.actual_degree
-
 
 def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, complex],
              drop_tol: float = 0.0) -> ZeroSlice:

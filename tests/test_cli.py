@@ -199,6 +199,16 @@ def test_bad_argument_exit_two(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fix", ["x=1", "q=1", "s=1,x=2", "s=1,q=2", "=1"])
+def test_fix_name_not_a_free_variable_exit_two(capsys, fix):
+    # a name outside q, s, v, w, or the variable being solved for, would
+    # fix nothing and yet be echoed back in "fixed"
+    code, out, err = run_cli(capsys, ["zeros", "--family", "line:2",
+                                      "--var", "q", "--fix", fix])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_miscounted_edge_list_exit_two(capsys, monkeypatch):
     import io
     monkeypatch.setattr(sys, "stdin", io.StringIO("3 3\n0 1\n1 2\n"))

@@ -6,10 +6,14 @@ complete-separator quotient (with their exact deviation values on small
 graphs), cycle scaling, and the bipartite lower bounds.
 """
 
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from chromfield import identities, partition
 from chromfield.errors import PreconditionUnmetError
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                grid_graph, line_graph, null_graph,
@@ -272,3 +276,50 @@ def test_identity_suite_all_hold(name, catalog):
     names = [v.name for v in verdicts]
     assert "reflection-symmetry" in names
     assert any(n.startswith("dcr-factor") for n in names)
+
+
+# identity_suite's verdicts (name, order, holds) on the catalog and four
+# more graphs, recorded before the suite reused its engine results
+RECORDED_VERDICTS = Path(__file__).parent / "fixtures" / "identity_verdicts.json"
+EXTRA_GRAPHS = {
+    "k5": complete_graph(5),
+    "sq3x3": grid_graph(3, 3),
+    "sq2x5": grid_graph(2, 5),
+    "loopy": Graph.make(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),
+}
+
+
+def test_identity_suite_verdicts_unchanged(catalog):
+    recorded = json.loads(RECORDED_VERDICTS.read_text())
+    graphs = {**catalog, **EXTRA_GRAPHS}
+    assert set(recorded) == set(graphs)
+    for name, g in graphs.items():
+        got = [[v.name, v.holds] for v in identity_suite(g)]
+        assert got == recorded[name], name
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), grid_graph(3, 3),
+                               grid_graph(2, 5)], ids=["k4", "sq3x3", "sq2x5"])
+def test_identity_suite_computes_each_graph_once(g, monkeypatch):
+    calls: Counter = Counter()
+
+    def counting(kind, fn):
+        def wrapped(h, *args, **kwargs):
+            calls[kind, h.edges] += 1
+            return fn(h, *args, **kwargs)
+        return wrapped
+
+    z_counted = counting("z", partition.z_poly)
+    zf_counted = counting("zero-field", partition.zero_field_poly)
+    for mod in (partition, identities):
+        monkeypatch.setattr(mod, "z_poly", z_counted)
+        monkeypatch.setattr(mod, "zero_field_poly", zf_counted)
+    monkeypatch.setattr(partition, "chromatic_poly",
+                        counting("chromatic", partition.chromatic_poly))
+    assert all(v.holds for v in identity_suite(g))
+    assert calls["z", g.edges] == 1
+    assert calls["zero-field", g.edges] == 1
+    assert sum(c for (kind, _), c in calls.items() if kind != "z") == 1
+    # Z of each deletion and contraction once, and of nothing else
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == 2 + 2 * g.e

@@ -124,6 +124,27 @@ def test_coefficient_slices_reassemble():
     assert p.coeff("w", 3) == S ** 3
 
 
+@pytest.mark.parametrize("exp", [(-1, 0, 0, 0), (1, 2, 3), (0, 1.5, 0, 0)])
+def test_constructor_rejects_bad_exponents(exp):
+    with pytest.raises(ValueError):
+        MultiPoly({exp: 1})
+
+
+@given(polys, st.sampled_from(VARS), st.integers(0, 3))
+def test_own_results_are_canonical(a, name, k):
+    # results built without re-validation: no zero coefficient, and the
+    # same polynomial the validating constructor makes of their terms
+    results = [a.coeff(name, k), a.reflect(name, 3 + k),
+               a.substitute(**{name: k}), a.substitute(**{name: Q - 1}),
+               a * (W - 1), (a * (W - 1)).div_linear("w", 1),
+               (a * V ** k).shift_down("v", k), a.unrebase_t().rebase_t(),
+               *a.coeffs_in(name).values()]
+    for r in results:
+        assert r is not None
+        assert 0 not in r.terms.values()
+        assert MultiPoly(r.terms) == r
+
+
 def test_degree_and_content():
     p = 6 * Q ** 2 * W - 9 * S
     assert p.degree("q") == 2
