@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import PreconditionUnmetError
 from .graphs import Graph
-from .partition import (alpha_layers, beta_layers, chromatic_number,
-                        subgraph_counts, z_poly, zero_field_poly)
+from .partition import (alpha_layers, beta_layers, chromatic_number, z_poly,
+                        zero_field_poly)
 from .poly import ONE, Q, S, V, W, MultiPoly, RationalExpr, exact_div
 
 QT = Q - S

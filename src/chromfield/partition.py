@@ -15,13 +15,18 @@ Two engines compute Z; both assemble it in the basis qt = q - s and convert
 to (q, s, v, w) once at the end, and both are bound by the same edge and
 vertex caps.
 
-- The walk (``subgraph_counts``) visits the 2^e subgraphs depth-first with
-  a rollback union-find, so each edge decision costs O(alpha(n)) and common
-  prefixes are shared.  A leaf only records (component-size multiset, edge
-  count) in 6-bit fields, so it refuses graphs with more than 63 edges.  It
-  is the only engine with a parallel path, and ``zero_field_poly``,
-  ``chromatic_poly`` and ``tutte_poly`` always use it, through one decode
-  by (components, chosen edges).
+- The walk (``subgraph_counts``) goes depth-first over the edges with a
+  rollback union-find and branches only on edges that join two
+  components: an edge that closes a cycle leaves the partition as it is
+  whether chosen or not, so it only adds a factor (1 + v) (the loop rule
+  of deletion-contraction).  Its leaves are the spanning forests, not the
+  2^e subgraphs (K7: 36 961 against 2 097 152), and each records
+  (component-size multiset, joining edges, cycle edges) in 6-bit fields,
+  so it refuses graphs with more than 63 edges; one binomial pass then
+  gives the count of subgraphs per (multiset, edge count).  It is the only
+  engine with a parallel path, and ``zero_field_poly``, ``chromatic_poly``
+  and ``tutte_poly`` always use it, through one decode by (components,
+  chosen edges).
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
@@ -36,7 +41,8 @@ A second, fully independent route sums over the q^n colorings instead of
 the subgraphs (``oracle_count_table`` and friends): a transfer over the
 colors of the vertices that still wait for a neighbour, in a vertex order
 of its own.  It exists to cross-check the cluster route, calls neither
-engine and is never used to feed it.
+engine and is never used to feed it.  ``CHROMFIELD_ORACLE_CAP`` bounds the
+states that transfer holds in all, not the q^n colorings.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ DEFAULT_VERTEX_CAP = 60
 DEFAULT_ORACLE_CAP = 10_000_000
 
 # Component-size multisets are packed into one int, 6 bits of count per
-# size, so leaves touch only small-int dict keys.  A leaf key additionally
-# carries the chosen-edge count in its lowest 6 bits.
+# size, so leaves touch only small-int dict keys.  A walk leaf adds two
+# 6-bit fields below it, the joining and the cycle-closing edge counts; a
+# subgraph counter key adds one, the chosen-edge count.
 _CNT_BITS = 6
 _CNT_MASK = (1 << _CNT_BITS) - 1
 
@@ -92,59 +99,77 @@ def _check_caps(g: Graph) -> None:
 
 def _explore(n: int, edges, counts: dict, j0: int, parent: list, size: list,
              key0: int, m0: int) -> None:
-    """DFS over edge choices from index j0, accumulating leaf counters.
+    """DFS over the joining edges from index j0, accumulating leaf counters.
 
-    ``counts`` maps (packed size-multiset << 6 | edge count) -> multiplicity.
-    The union-find uses union by size and no path compression so a single
-    undo record per union suffices.
+    An edge whose ends already share a root closes a cycle: choosing it or
+    not leaves the partition unchanged (the loop rule of deletion-
+    contraction), so it does not branch and only adds to the cycle count c.
+    Each leaf is then one spanning forest of the choices, and ``counts``
+    maps (packed size-multiset << 12 | chosen edges m << 6 | c) ->
+    multiplicity, m being m0 plus the joining edges chosen; ``_expand``
+    turns the leaves into subgraph counts.  The union-find uses union by
+    size and no path compression so a single undo record per union
+    suffices.
     """
     us = [e[0] for e in edges]
     vs = [e[1] for e in edges]
-    last = len(edges) - 1
+    end = len(edges)
+    last = end - 1
     get = counts.get
 
-    def rec(j: int, key: int, m: int) -> None:
-        ru = us[j]
-        while parent[ru] != ru:
-            ru = parent[ru]
-        rv = vs[j]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if j == last:
-            pk = (key << _CNT_BITS) | m
-            counts[pk] = get(pk, 0) + 1
-            if ru == rv:
-                pk2 = (key << _CNT_BITS) | (m + 1)
+    def rec(j: int, key: int, m: int, c: int) -> None:
+        # the branch with a joining edge recurses (or, on the last edge, is
+        # a leaf at once); the branch without it goes on in this loop
+        while True:
+            while j < end:
+                ru = us[j]
+                while parent[ru] != ru:
+                    ru = parent[ru]
+                rv = vs[j]
+                while parent[rv] != rv:
+                    rv = parent[rv]
+                if ru != rv:
+                    break
+                c += 1
+                j += 1
             else:
-                a = size[ru]
-                b = size[rv]
-                nk = key + (1 << (_CNT_BITS * (a + b))) \
-                    - (1 << (_CNT_BITS * a)) - (1 << (_CNT_BITS * b))
-                pk2 = (nk << _CNT_BITS) | (m + 1)
-            counts[pk2] = get(pk2, 0) + 1
-            return
-        rec(j + 1, key, m)
-        if ru == rv:
-            rec(j + 1, key, m + 1)
-            return
-        a = size[ru]
-        b = size[rv]
-        if a < b:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] = a + b
-        rec(j + 1,
-            key + (1 << (_CNT_BITS * (a + b)))
-            - (1 << (_CNT_BITS * a)) - (1 << (_CNT_BITS * b)),
-            m + 1)
-        parent[rv] = rv
-        size[ru] = max(a, b)
+                pk = (key << (2 * _CNT_BITS)) | (m << _CNT_BITS) | c
+                counts[pk] = get(pk, 0) + 1
+                return
+            a = size[ru]
+            b = size[rv]
+            nk = key + (1 << (_CNT_BITS * (a + b))) \
+                - (1 << (_CNT_BITS * a)) - (1 << (_CNT_BITS * b))
+            if j == last:
+                pk = (nk << (2 * _CNT_BITS)) | ((m + 1) << _CNT_BITS) | c
+                counts[pk] = get(pk, 0) + 1
+            else:
+                if a < b:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] = a + b
+                rec(j + 1, nk, m + 1, c)
+                parent[rv] = rv
+                size[ru] = max(a, b)
+            j += 1
 
-    if j0 <= last:
-        rec(j0, key0, m0)
-    else:
-        pk = (key0 << _CNT_BITS) | m0
-        counts[pk] = get(pk, 0) + 1
+    rec(j0, key0, m0, 0)
+
+
+def _expand(leaves: dict[int, int]) -> dict[int, int]:
+    """Subgraph counts from forest leaves: a leaf (key, m, c) stands for
+    C(c, i) subgraphs with m + i chosen edges, for i = 0..c, keyed
+    key << 6 | (m + i)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for pk, mult in leaves.items():
+        c = pk & _CNT_MASK
+        m = (pk >> _CNT_BITS) & _CNT_MASK
+        base = (pk >> (2 * _CNT_BITS)) << _CNT_BITS
+        for i in range(c + 1):
+            k = base | (m + i)
+            out[k] = get(k, 0) + mult * math.comb(c, i)
+    return out
 
 
 def _replayed_state(n: int, edges, k: int, mask: int):
@@ -183,35 +208,45 @@ def _prefix_chunk(args) -> dict:
     return counts
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    exposes one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
-    """Leaf counters of the spanning-subgraph walk.
+    """Subgraph counters of the spanning-forest walk.
 
     Keys pack the component-size multiset (6 bits of count per size) with
     the chosen-edge count in the low 6 bits, so graphs with more than 63
     edges are refused whatever the edge cap says.  With ``workers > 1`` the
-    first few edge decisions are fixed per task and the task counters are
-    merged.
+    first few edge decisions are fixed per task, the tasks run on at most
+    as many processes as there are usable CPUs, and the task counters are
+    merged before ``_expand``.
     """
     _check_caps(g)
     if g.e > _CNT_MASK:
         raise CapExceededError(
             f"{g.e} edges exceeds the walk's packing limit of {_CNT_MASK}")
     n, edges = g.n, g.edges
-    if workers <= 1 or g.e < 6:
-        counts: dict[int, int] = {}
-        _explore(n, edges, counts, 0, list(range(n)), [1] * n,
-                 n << _CNT_BITS, 0)
-        return counts
     k = 2
     while (1 << k) < 4 * workers and k < g.e - 1:
         k += 1
+    procs = min(workers, 1 << k, _usable_cpus())
+    if procs <= 1 or g.e < 6:
+        leaves: dict[int, int] = {}
+        _explore(n, edges, leaves, 0, list(range(n)), [1] * n,
+                 n << _CNT_BITS, 0)
+        return _expand(leaves)
     tasks = [(n, edges, k, mask) for mask in range(1 << k)]
     merged: dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=procs) as pool:
         for part in pool.map(_prefix_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
             for pk, c in part.items():
                 merged[pk] = merged.get(pk, 0) + c
-    return merged
+    return _expand(merged)
 
 
 def _decode_multiset(key: int, n: int) -> list[tuple[int, int]]:
@@ -371,14 +406,15 @@ def alpha_layers(ph: MultiPoly, n: int) -> list[MultiPoly]:
 
 # -- independent coloring-sum oracle ------------------------------------------
 
-def _coloring_order(g: Graph, q: int) -> list[int]:
-    """A vertex order for the coloring transfer.
+def _coloring_order(g: Graph, q: int) -> tuple[int, list[int]]:
+    """A vertex order for the coloring transfer, and its cost.
 
     A vertex waits, colored, until all its neighbours are colored; the
     transfer holds q^(waiting vertices) states.  From each start vertex,
     each step colors the neighbour of a waiting vertex that leaves the
     fewest waiting (a new component starts at its lowest-degree vertex);
-    the order with the least total of q^waiting wins.
+    the order with the least total of q^waiting wins, and that total is
+    its cost.
     """
     n = g.n
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -416,7 +452,7 @@ def _coloring_order(g: Graph, q: int) -> list[int]:
                         key=lambda y: (len(nbrs[y]), y))
         if best is None or cost < best[0]:
             best = (cost, order)
-    return best[1]
+    return best
 
 
 def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
@@ -439,12 +475,11 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
         return table
     if q == 0:
         return table
-    states = q ** n
-    if states > _oracle_cap():
+    cost, order = _coloring_order(g, q)
+    if cost > _oracle_cap():
         raise CapExceededError(
-            f"{states} colorings exceeds the oracle cap of {_oracle_cap()} "
+            f"{cost} transfer states exceeds the oracle cap of {_oracle_cap()} "
             "(override with CHROMFIELD_ORACLE_CAP)")
-    order = _coloring_order(g, q)
     pos = [0] * n
     for i, x in enumerate(order):
         pos[x] = i
@@ -458,7 +493,7 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
         a, b = (u, v) if pos[u] < pos[v] else (v, u)
         back[b].append(a)
         done[a] = max(done[a], pos[b])
-    bits = states.bit_length()
+    bits = (q ** n).bit_length()
     row = (n + 1) * bits
     waiting: list[int] = []
     layer: dict[tuple[int, ...], int] = {(): 1}

@@ -7,13 +7,17 @@ assignments (oracle path).  These tests insist the routes agree exactly.
 """
 
 import itertools
+import math
 import os
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromfield import partition
 from chromfield.errors import (BadDecompositionError, CapExceededError,
                                LoopyGraphError)
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
@@ -61,6 +65,108 @@ def test_subgraph_counts_partition_the_power_set():
 def test_parallel_split_gives_identical_polynomial():
     g = complete_graph(4)
     assert z_poly(g, workers=3) == z_poly(g, workers=1)
+
+
+# -- the spanning-forest walk --------------------------------------------------
+
+def brute_subgraph_counts(g: Graph) -> dict[int, int]:
+    """The walk's counters from the reference enumeration of all 2^e
+    subgraphs, keyed (size multiset, 6 bits per size) << 6 | edge count."""
+    counts: dict[int, int] = {}
+    for sub in enumerate_spanning_subgraphs(g):
+        key = sum(1 << (6 * size) for size in sub.component_sizes)
+        pk = key << 6 | sub.edge_count
+        counts[pk] = counts.get(pk, 0) + 1
+    return counts
+
+
+@st.composite
+def multigraphs(draw):
+    """Loops, parallel edges and isolated vertices; 0 to 10 edges."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(0, n - 1) if n else st.nothing()
+    return Graph.make(n, draw(st.lists(st.tuples(ends, ends),
+                                       max_size=10 if n else 0)))
+
+
+@given(multigraphs())
+@example(Graph.make(0, []))
+@example(Graph.make(3, []))
+@example(Graph.make(2, [(0, 1)]))
+@example(Graph.make(1, [(0, 0)]))
+@example(Graph.make(4, [(0, 1), (1, 2), (2, 0), (0, 1), (3, 3), (2, 0),
+                        (1, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_subgraph_counts_match_brute_force(g):
+    want = brute_subgraph_counts(g)
+    assert subgraph_counts(g, workers=1) == want
+    assert subgraph_counts(g, workers=2) == want
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging where SIGALRM exists; no limit elsewhere."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise AssertionError(f"still walking after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cycle_closing_edges_do_not_branch():
+    # 2^30 subgraphs each; a walk that branched on the 30 loops, or on the
+    # 29 parallel edges after the first, would run for minutes
+    one_loopy = Graph.make(1, [(0, 0)] * 30)
+    k2_thick = Graph.make(2, [(0, 1)] * 30)
+    with time_limit(10):
+        loops = subgraph_counts(one_loopy)
+        parallel = subgraph_counts(k2_thick)
+    single = 1 << 6  # one component of one vertex
+    assert loops == {single << 6 | m: math.comb(30, m) for m in range(31)}
+    apart, joined = 2 << 6, 1 << 12  # two singletons; one pair
+    assert parallel == {(apart if m == 0 else joined) << 6 | m: math.comb(30, m)
+                        for m in range(31)}
+
+
+@pytest.mark.parametrize("g, cpus, procs", [
+    (complete_graph(6), 1, None),    # one usable CPU: serial, no pool
+    (complete_graph(6), 2, 2),
+    (complete_graph(6), 3, 3),
+    (complete_graph(6), 256, 64),    # capped by workers
+    (line_graph(7), 256, 32),        # 6 edges: capped by its 32 tasks
+])
+def test_pool_is_capped_at_usable_cpus(monkeypatch, g, cpus, procs):
+    serial = subgraph_counts(g, workers=1)
+    made = []
+
+    class RecordingPool:
+        """Records max_workers and runs the tasks inline: no process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(partition, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(partition, "_usable_cpus", lambda: cpus)
+    assert subgraph_counts(g, workers=64) == serial
+    assert made == ([] if procs is None else [procs])
 
 
 # -- reductions of the four-variable polynomial --------------------------------
@@ -274,5 +380,16 @@ def test_walk_refuses_more_edges_than_its_key_packing(monkeypatch):
 
 
 def test_oracle_state_cap():
+    # K12 at q = 5: every colored vertex waits for the last one, so the
+    # transfer holds 5^0 + ... + 5^11 = 61 035 156 states in all
     with pytest.raises(CapExceededError):
-        oracle_count_table(null_graph(12), 4, 1)  # 5^12 assignments
+        oracle_count_table(complete_graph(12), 5, 1)
+
+
+def test_oracle_cap_counts_transfer_states_not_colorings(monkeypatch):
+    # 4^12 colorings, but no vertex ever waits: one state per step
+    table = oracle_count_table(null_graph(12), 4, 1)
+    assert table[0] == [math.comb(12, k) * 3 ** (12 - k) for k in range(13)]
+    monkeypatch.setenv("CHROMFIELD_ORACLE_CAP", "11")
+    with pytest.raises(CapExceededError):
+        oracle_count_table(null_graph(12), 4, 1)
