@@ -42,7 +42,8 @@ the subgraphs (``oracle_count_table`` and friends): a transfer over the
 colors of the vertices that still wait for a neighbour, in a vertex order
 of its own.  It exists to cross-check the cluster route, calls neither
 engine and is never used to feed it.  ``CHROMFIELD_ORACLE_CAP`` bounds the
-states that transfer holds in all, not the q^n colorings.
+transfer's work, q colors tried on each state it holds, not the q^n
+colorings.
 """
 
 from __future__ import annotations
@@ -231,10 +232,11 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
         raise CapExceededError(
             f"{g.e} edges exceeds the walk's packing limit of {_CNT_MASK}")
     n, edges = g.n, g.edges
+    procs = min(workers, _usable_cpus())
     k = 2
-    while (1 << k) < 4 * workers and k < g.e - 1:
+    while (1 << k) < 4 * procs and k < g.e - 1:
         k += 1
-    procs = min(workers, 1 << k, _usable_cpus())
+    procs = min(procs, 1 << k)
     if procs <= 1 or g.e < 6:
         leaves: dict[int, int] = {}
         _explore(n, edges, leaves, 0, list(range(n)), [1] * n,
@@ -243,7 +245,7 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
     tasks = [(n, edges, k, mask) for mask in range(1 << k)]
     merged: dict[int, int] = {}
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        for part in pool.map(_prefix_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
+        for part in pool.map(_prefix_chunk, tasks, chunksize=max(1, len(tasks) // (4 * procs))):
             for pk, c in part.items():
                 merged[pk] = merged.get(pk, 0) + c
     return _expand(merged)
@@ -407,14 +409,14 @@ def alpha_layers(ph: MultiPoly, n: int) -> list[MultiPoly]:
 # -- independent coloring-sum oracle ------------------------------------------
 
 def _coloring_order(g: Graph, q: int) -> tuple[int, list[int]]:
-    """A vertex order for the coloring transfer, and its cost.
+    """The states a coloring transfer holds in all, and its vertex order.
 
     A vertex waits, colored, until all its neighbours are colored; the
     transfer holds q^(waiting vertices) states.  From each start vertex,
     each step colors the neighbour of a waiting vertex that leaves the
     fewest waiting (a new component starts at its lowest-degree vertex);
     the order with the least total of q^waiting wins, and that total is
-    its cost.
+    returned with it.
     """
     n = g.n
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -475,10 +477,15 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
         return table
     if q == 0:
         return table
-    cost, order = _coloring_order(g, q)
-    if cost > _oracle_cap():
+    states, order = _coloring_order(g, q)
+    # every step tries each of the q colors on each state it holds; the
+    # states held before the steps total ``states`` too, since the transfer
+    # starts from one state and ends with no vertex waiting
+    work = q * states
+    if work > _oracle_cap():
         raise CapExceededError(
-            f"{cost} transfer states exceeds the oracle cap of {_oracle_cap()} "
+            f"{work} transfer steps ({states} states x {q} colors) exceeds "
+            f"the oracle cap of {_oracle_cap()} "
             "(override with CHROMFIELD_ORACLE_CAP)")
     pos = [0] * n
     for i, x in enumerate(order):

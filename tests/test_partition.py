@@ -137,19 +137,20 @@ def test_cycle_closing_edges_do_not_branch():
                         for m in range(31)}
 
 
-@pytest.mark.parametrize("g, cpus, procs", [
-    (complete_graph(6), 1, None),    # one usable CPU: serial, no pool
-    (complete_graph(6), 2, 2),
-    (complete_graph(6), 3, 3),
-    (complete_graph(6), 256, 64),    # capped by workers
-    (line_graph(7), 256, 32),        # 6 edges: capped by its 32 tasks
+@pytest.mark.parametrize("g, cpus, procs, tasks", [
+    (complete_graph(6), 1, None, None),  # one usable CPU: serial, no pool
+    (complete_graph(6), 2, 2, 8),        # split for 2 processes, not 64
+    (complete_graph(6), 3, 3, 16),
+    (complete_graph(6), 256, 64, 256),   # capped by workers
+    (line_graph(7), 256, 32, 32),        # 6 edges: capped by its 32 tasks
 ])
-def test_pool_is_capped_at_usable_cpus(monkeypatch, g, cpus, procs):
+def test_pool_is_capped_at_usable_cpus(monkeypatch, g, cpus, procs, tasks):
     serial = subgraph_counts(g, workers=1)
-    made = []
+    made, split = [], []
 
     class RecordingPool:
-        """Records max_workers and runs the tasks inline: no process."""
+        """Records max_workers and the tasks, and runs them inline: no
+        process."""
 
         def __init__(self, max_workers):
             made.append(max_workers)
@@ -161,12 +162,14 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, g, cpus, procs):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            split.append(len(tasks))
             return map(fn, tasks)
 
     monkeypatch.setattr(partition, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(partition, "_usable_cpus", lambda: cpus)
     assert subgraph_counts(g, workers=64) == serial
     assert made == ([] if procs is None else [procs])
+    assert split == ([] if tasks is None else [tasks])
 
 
 # -- reductions of the four-variable polynomial --------------------------------
@@ -386,10 +389,22 @@ def test_oracle_state_cap():
         oracle_count_table(complete_graph(12), 5, 1)
 
 
-def test_oracle_cap_counts_transfer_states_not_colorings(monkeypatch):
-    # 4^12 colorings, but no vertex ever waits: one state per step
+def test_oracle_cap_counts_transfer_work_not_colorings(monkeypatch):
+    # 4^12 colorings, but no vertex ever waits: one state per step, each
+    # tried with 4 colors, 48 steps in all
     table = oracle_count_table(null_graph(12), 4, 1)
     assert table[0] == [math.comb(12, k) * 3 ** (12 - k) for k in range(13)]
-    monkeypatch.setenv("CHROMFIELD_ORACLE_CAP", "11")
+    monkeypatch.setenv("CHROMFIELD_ORACLE_CAP", "47")
     with pytest.raises(CapExceededError):
         oracle_count_table(null_graph(12), 4, 1)
+
+
+@pytest.mark.parametrize("g, q", [
+    (null_graph(1), 10 ** 9),  # one state, but 10^9 colors tried on it
+    (line_graph(2), 10 ** 6),  # 10^6 + 1 states, each tried with 10^6 colors
+])
+def test_oracle_cap_counts_colors_tried(g, q):
+    # refused before any state is built: the run would not fit the test
+    with time_limit(10):
+        with pytest.raises(CapExceededError):
+            oracle_count_table(g, q, 0)
