@@ -37,6 +37,13 @@ def _parse_family(text: str) -> tuple[str, int]:
             f"--family wants KIND:N with an integer N, got {text!r}") from None
 
 
+def _fraction(text: str, error: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadInputError(error) from None
+
+
 def _load_graph(args) -> Graph:
     if args.family:
         return make_family(*_parse_family(args.family))
@@ -109,7 +116,9 @@ def _cmd_family(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
-    value = oracle_z(g, args.q, args.s, Fraction(args.v), Fraction(args.w))
+    v = _fraction(args.v, f"--v wants a number, got {args.v!r}")
+    w = _fraction(args.w, f"--w wants a number, got {args.w!r}")
+    value = oracle_z(g, args.q, args.s, v, w)
     _emit({
         "graph_hash": g.graph_hash(),
         "q": args.q,
@@ -171,11 +180,8 @@ def _cmd_zeros(args) -> int:
             others = ", ".join(v for v in VARS if v != args.var)
             raise BadInputError(
                 f"--fix wants one of {others} (not --var {args.var}), got {name!r}")
-        try:
-            fixed[name] = float(Fraction(val))
-        except (ValueError, ZeroDivisionError):
-            raise BadInputError(
-                f"--fix wants name=number, got {item!r}") from None
+        fixed[name] = float(
+            _fraction(val, f"--fix wants name=number, got {item!r}"))
     sl = zeros.zeros_in(p, args.var, fixed, drop_tol=args.drop_tol)
     _emit({
         "graph_hash": g.graph_hash(),

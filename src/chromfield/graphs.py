@@ -24,6 +24,8 @@ class Graph:
 
     @staticmethod
     def make(n: int, edges: Iterable[Sequence[int]], name: str = "") -> "Graph":
+        if n < 0:
+            raise BadInputError(f"vertex count must be >= 0, got {n}")
         norm = []
         for e in edges:
             u, v = int(e[0]), int(e[1])

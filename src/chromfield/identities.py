@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionUnmetError
-from .graphs import Graph
-from .partition import (alpha_layers, beta_layers, chromatic_number, z_poly,
-                        zero_field_poly)
+from .graphs import Graph, complete_graph
+from .partition import (alpha_layers, beta_layers, chromatic_number, ph_poly,
+                        z_poly, zero_field_by_walk)
 from .poly import ONE, Q, S, V, W, MultiPoly, RationalExpr, exact_div
 
 QT = Q - S
@@ -44,12 +44,13 @@ def reduction_deviations(g: Graph, z: MultiPoly | None = None,
     """The four slices of Z that collapse to zero-field sums.
 
     w=1 and s=0 give Z(G,q,v); w=0 gives Z(G,q-s,v); s=q gives w^n Z(G,q,v).
-    ``zf`` is the zero-field polynomial Z(G,q,v) when the caller has it.
+    ``zf`` is Z(G,q,v) when the caller has it; by default it comes from
+    the walk, so the s=0 line does not compare Z with its own slice.
     """
     if z is None:
         z = z_poly(g)
     if zf is None:
-        zf = zero_field_poly(g)
+        zf = zero_field_by_walk(g)
     return {
         "w=1": z.substitute(w=1) - zf,
         "s=0": z.substitute(s=0) - zf,
@@ -88,12 +89,12 @@ def beta_layer_report(g: Graph, z: MultiPoly | None = None,
     beta_0 = Z(G, q-s, v); beta_n = Z(G, s, v) (q-free);
     beta_j(q,s,v) = beta_{n-j}(q, q-s, v);
     (q-s) | beta_j for j < n and s | beta_j for j > 0.
-    ``zf`` is the zero-field polynomial Z(G,q,v) when the caller has it.
+    ``zf`` is Z(G,q,v) when the caller has it, by default from the walk.
     """
     if z is None:
         z = z_poly(g)
     if zf is None:
-        zf = zero_field_poly(g)
+        zf = zero_field_by_walk(g)
     n = g.n
     beta = beta_layers(z, n)
     failures = []
@@ -138,7 +139,7 @@ def alpha_layer_report(g: Graph, ph: MultiPoly) -> LayerReport:
     """q-layer structure of Ph: monic top, explicit subtop, t | alpha_0.
 
     alpha_n = 1; alpha_{n-1} = n*s*(w-1) - (#distinct edges); and
-    s*(w-1) divides alpha_0.
+    s*(w-1) divides alpha_0 when n >= 1 (for n = 0, alpha_0 = alpha_n = 1).
     """
     n = g.n
     alpha = alpha_layers(ph, n)
@@ -149,7 +150,7 @@ def alpha_layer_report(g: Graph, ph: MultiPoly) -> LayerReport:
     if n >= 1 and alpha[n - 1] != n * S * (W - 1) - distinct_edges:
         failures.append("alpha_{n-1} != n*s*(w-1) - e(distinct)")
     a0 = alpha[0].shift_down("s")
-    if a0 is None or a0.div_linear("w", 1) is None:
+    if n >= 1 and (a0 is None or a0.div_linear("w", 1) is None):
         failures.append("s*(w-1) does not divide alpha_0")
     return LayerReport(not failures, failures)
 
@@ -233,7 +234,6 @@ def kit_deviation(g: Graph, part1: list[int], part2: list[int],
     weighted version does not, and the deviation
     Ph(G) - Ph(G1) Ph(G2) / Ph(K_m) carries the factor s (q-s) w (w-1).
     """
-    from .partition import ph_poly
     set1, set2 = set(part1), set(part2)
     if set1 | set2 != set(range(g.n)):
         raise PreconditionUnmetError("parts must cover all vertices")
@@ -253,7 +253,6 @@ def kit_deviation(g: Graph, part1: list[int], part2: list[int],
         ph = ph_poly(g)
     ph1 = ph_poly(_induced(g, sorted(set1)))
     ph2 = ph_poly(_induced(g, sorted(set2)))
-    from .graphs import complete_graph
     ph_sep = ph_poly(complete_graph(m)) if m else ONE
     return RationalExpr(ph * ph_sep - ph1 * ph2, ph_sep)
 
@@ -304,7 +303,6 @@ def multi_edge_invariance(g: Graph, ph: MultiPoly | None = None) -> bool:
     ``ph`` is Ph(G) when the caller has it; a graph without parallel edges
     is its own reduction.
     """
-    from .partition import ph_poly
     reduced = Graph(g.n, tuple(dict.fromkeys(g.edges)), g.name)
     if reduced == g:
         return True
@@ -319,9 +317,10 @@ def tutte_equivalent_difference(g: Graph, h: Graph) -> MultiPoly:
     Raises PreconditionUnmetError unless Z(G,q,v) = Z(H,q,v); the returned
     difference always carries the factor s*(q-s)*v*w*(w-1).
     """
-    if zero_field_poly(g) != zero_field_poly(h):
+    zg, zh = z_poly(g), z_poly(h)
+    if zg.substitute(s=0) != zh.substitute(s=0):
         raise PreconditionUnmetError("graphs are not zero-field equivalent")
-    return z_poly(g) - z_poly(h)
+    return zg - zh
 
 
 def has_tutte_difference_factor(diff: MultiPoly) -> bool:
@@ -334,18 +333,13 @@ def has_tutte_difference_factor(diff: MultiPoly) -> bool:
 def chromatic_equivalent_check(g: Graph, h: Graph) -> bool:
     """For chromatically equivalent graphs with an edge, both weighted
     polynomials vanish at q=1 for the two admissible s values 0 and 1."""
-    from .partition import chromatic_poly, ph_poly
-    if chromatic_poly(g) != chromatic_poly(h):
+    phg, phh = ph_poly(g), ph_poly(h)
+    if phg.substitute(s=0) != phh.substitute(s=0):
         raise PreconditionUnmetError("graphs are not chromatically equivalent")
     if not (g.e and h.e):
-        return ph_poly(g) == ph_poly(h)
-    for gg in (g, h):
-        p = ph_poly(gg)
-        if not p.substitute(q=1, s=0).is_zero():
-            return False
-        if not p.substitute(q=1, s=1).is_zero():
-            return False
-    return True
+        return phg == phh
+    return all(p.substitute(q=1, s=s).is_zero()
+               for p in (phg, phh) for s in (0, 1))
 
 
 # -- bipartite lower bounds ---------------------------------------------------
@@ -406,12 +400,13 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
     """Run every single-graph identity; used by the command-line checker.
 
     Z(G) and the zero-field polynomial are computed once each and handed
-    to every check; the zero-field one comes from its own walk, so the
-    s=0 reduction and beta_0 still test Z's assembly against an
-    independent decode.
+    to every check.  The zero-field one is ``zero_field_by_walk``, read
+    from the walk's keys rather than sliced from Z, so the s=0 reduction
+    and beta_0 test Z's assembly (and on narrow graphs the frontier
+    engine) against it.
     """
     z = z_poly(g, workers)
-    zf = zero_field_poly(g, workers)
+    zf = zero_field_by_walk(g, workers)
     out = []
 
     def add(name, holds, detail=""):

@@ -24,18 +24,19 @@ vertex caps.
   (component-size multiset, joining edges, cycle edges) in 6-bit fields,
   so it refuses graphs with more than 63 edges; one binomial pass then
   gives the count of subgraphs per (multiset, edge count).  It is the only
-  engine with a parallel path, and ``zero_field_poly``, ``chromatic_poly``
-  and ``tutte_poly`` always use it, through one decode by (components,
-  chosen edges).
+  engine with a parallel path.
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
 
-``z_poly`` (and so ``ph_poly``) chooses from the graph alone: the frontier
-engine when ``frontier.plan`` finds an order whose frontier never exceeds 4
-vertices and whose estimated work is well below 2^e -- strips and circuits
-from about 13 edges on -- and the walk otherwise, as on complete graphs,
-circulants such as C10(1,2) and small graphs.
+``z_poly`` chooses from the graph alone: the frontier engine when
+``frontier.plan`` finds an order whose frontier never exceeds 4 vertices
+and whose estimated work is well below 2^e -- strips and circuits from
+about 13 edges on -- and the walk otherwise, as on complete graphs,
+circulants such as C10(1,2) and small graphs.  ``ph_poly``,
+``zero_field_poly``, ``chromatic_poly`` and ``tutte_poly`` are slices of Z
+and go through that choice; ``zero_field_by_walk``, the walk's own
+zero-field decode, is kept as an independent reference for Z's assembly.
 
 A second, fully independent route sums over the q^n colorings instead of
 the subgraphs (``oracle_count_table`` and friends): a transfer over the
@@ -323,33 +324,26 @@ def ph_poly(g: Graph, workers: int = 1) -> MultiPoly:
     return z_poly(g, workers).substitute(v=-1)
 
 
-def _component_edge_counts(g: Graph, workers: int = 1) -> dict[tuple[int, int], int]:
-    """The walk's leaves by (components, chosen edges): {(k, m): subgraphs}.
-
-    The one decode of the size-multiset keys outside ``_counts_to_z``,
-    shared by the zero-field, chromatic and Tutte polynomials.
-    """
-    out: dict[tuple[int, int], int] = {}
+def zero_field_by_walk(g: Graph, workers: int = 1) -> MultiPoly:
+    """Z(G, q, v) read off the walk's keys by (components, chosen edges),
+    using neither Z's assembly nor the frontier engine: the identity
+    checks' independent reference for ``zero_field_poly``."""
+    out: dict[tuple[int, int, int, int], int] = {}
     for pk, c in subgraph_counts(g, workers).items():
         k = sum(cnt for _, cnt in _decode_multiset(pk >> _CNT_BITS, g.n))
-        key = (k, pk & _CNT_MASK)
-        out[key] = out.get(key, 0) + c
-    return out
+        exp = (k, 0, pk & _CNT_MASK, 0)
+        out[exp] = out.get(exp, 0) + c
+    return MultiPoly._trusted(out)
 
 
 def zero_field_poly(g: Graph, workers: int = 1) -> MultiPoly:
-    """Random-cluster Z(G, q, v) = sum v^{e'} q^{k'} (no s, w dependence)."""
-    return MultiPoly._trusted({(k, 0, m, 0): c for (k, m), c
-                               in _component_edge_counts(g, workers).items()})
+    """Random-cluster Z(G, q, v) = sum v^{e'} q^{k'}: Z at s = 0."""
+    return z_poly(g, workers).substitute(s=0)
 
 
 def chromatic_poly(g: Graph) -> MultiPoly:
-    """Proper-coloring count P(G, q) via the alternating cluster sum."""
-    out: dict[tuple[int, int, int, int], int] = {}
-    for (k, m), c in _component_edge_counts(g).items():
-        exp = (k, 0, 0, 0)
-        out[exp] = out.get(exp, 0) + (-c if m & 1 else c)
-    return MultiPoly._trusted(out)
+    """Proper-coloring count P(G, q): Ph at s = 0."""
+    return ph_poly(g).substitute(s=0)
 
 
 def chromatic_number(g: Graph, p: MultiPoly | None = None) -> int:
@@ -365,13 +359,14 @@ def chromatic_number(g: Graph, p: MultiPoly | None = None) -> int:
 
 
 def tutte_poly(g: Graph) -> MultiPoly:
-    """Tutte polynomial T(G, x, y) = sum (x-1)^{k'-k} (y-1)^{c'}.
+    """Tutte polynomial T(G, x, y) = sum (x-1)^{k'-k} (y-1)^{c'}, remapped
+    from the zero-field sum's coefficients of q^k' v^m' (c' = m' + k' - n).
 
     Stored in the first two variable slots; render with names=("x", "y").
     """
     k_whole = g.component_count()
     out: dict[tuple[int, int, int, int], int] = {}
-    for (k_comp, m), c in _component_edge_counts(g).items():
+    for (k_comp, _, m, _), c in zero_field_poly(g).terms.items():
         p = k_comp - k_whole
         cyc = m + k_comp - g.n
         for i in range(p + 1):
@@ -469,7 +464,7 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
     monochromatic and each parallel edge counts once.
     """
     if q < 0 or not 0 <= s <= q:
-        raise ValueError(f"need integers 0 <= s <= q, got q={q}, s={s}")
+        raise BadInputError(f"need integers 0 <= s <= q, got q={q}, s={s}")
     n = g.n
     table = [[0] * (n + 1) for _ in range(g.e + 1)]
     if n == 0:

@@ -192,6 +192,10 @@ def test_usage_error_exit_two():
     ["compute", "--family", "circuit:x"],
     ["compute", "--family", "foo:3"],
     ["zeros", "--family", "line:2", "--var", "q", "--fix", "s=abc"],
+    ["oracle", "--family", "line:2", "--q", "-1", "--s", "0"],
+    ["oracle", "--family", "line:2", "--q", "2", "--s", "3"],
+    ["oracle", "--family", "line:2", "--q", "2", "--s", "1", "--w", "abc"],
+    ["oracle", "--family", "line:2", "--q", "2", "--s", "1", "--w", "1/0"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -217,13 +221,28 @@ def test_miscounted_edge_list_exit_two(capsys, monkeypatch):
     assert err.startswith("error: header says 3 edges, found 2")
 
 
-@pytest.mark.parametrize("text", ['{"n": 3, "edges": [[0, 1], [1', '{"edges": []}'])
+@pytest.mark.parametrize("text", ['{"n": 3, "edges": [[0, 1], [1', '{"edges": []}',
+                                  '{"n": -3, "edges": []}'])
 def test_malformed_json_graph_exit_two(capsys, monkeypatch, text):
     import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, ["compute", "--graph", "-"])
     assert code == 2 and out == ""
     assert err.startswith("error: bad JSON graph")
+
+
+def test_negative_vertex_count_exit_two(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO("-1 0\n"))
+    code, out, err = run_cli(capsys, ["compute", "--graph", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertex count must be >= 0")
+
+
+def test_empty_graph_check_holds(capsys):
+    code, out, _ = run_cli(capsys, ["check", "--family", "null:0"])
+    assert code == 0
+    assert "FAIL" not in out
 
 
 def test_missing_graph_file_exit_two(tmp_path, capsys):

@@ -298,6 +298,11 @@ def test_identity_suite_verdicts_unchanged(catalog):
         assert got == recorded[name], name
 
 
+def test_identity_suite_holds_on_empty_graph():
+    # with no vertex, alpha_0 is alpha_n = 1, which s*(w-1) does not divide
+    assert all(v.holds for v in identity_suite(null_graph(0)))
+
+
 @pytest.mark.parametrize("g", [complete_graph(4), grid_graph(3, 3),
                                grid_graph(2, 5)], ids=["k4", "sq3x3", "sq2x5"])
 def test_identity_suite_computes_each_graph_once(g, monkeypatch):
@@ -310,10 +315,10 @@ def test_identity_suite_computes_each_graph_once(g, monkeypatch):
         return wrapped
 
     z_counted = counting("z", partition.z_poly)
-    zf_counted = counting("zero-field", partition.zero_field_poly)
+    zf_counted = counting("zero-field", partition.zero_field_by_walk)
     for mod in (partition, identities):
         monkeypatch.setattr(mod, "z_poly", z_counted)
-        monkeypatch.setattr(mod, "zero_field_poly", zf_counted)
+        monkeypatch.setattr(mod, "zero_field_by_walk", zf_counted)
     monkeypatch.setattr(partition, "chromatic_poly",
                         counting("chromatic", partition.chromatic_poly))
     assert all(v.holds for v in identity_suite(g))

@@ -17,17 +17,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromfield import partition
+from chromfield import frontier, partition
 from chromfield.errors import (BadDecompositionError, CapExceededError,
                                LoopyGraphError)
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
-                               enumerate_spanning_subgraphs, line_graph,
-                               make_family, null_graph, square_with_diagonal,
-                               star_graph)
+                               enumerate_spanning_subgraphs, grid_graph,
+                               line_graph, make_family, null_graph,
+                               square_with_diagonal, star_graph)
 from chromfield.partition import (alpha_layers, beta_layers, chromatic_number,
                                   chromatic_poly, oracle_count_table,
                                   oracle_ph, oracle_z, ph_poly, subgraph_counts,
-                                  tutte_poly, z_poly, zero_field_poly)
+                                  tutte_poly, z_poly, zero_field_by_walk,
+                                  zero_field_poly)
 from chromfield.poly import ONE, Q, S, V, W, MultiPoly
 
 QT = Q - S
@@ -176,8 +177,9 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, g, cpus, procs, tasks):
 
 @pytest.mark.parametrize("g", [line_graph(4), circuit_graph(4), complete_graph(4)])
 def test_special_value_reductions(g):
+    # the walk's own decode, so the s=0 line does not test Z against itself
     z = z_poly(g)
-    zf = zero_field_poly(g)
+    zf = zero_field_by_walk(g)
     assert z.substitute(w=1) == zf
     assert z.substitute(s=0) == zf
     assert z.substitute(w=0) == zf.substitute(q=QT)
@@ -355,6 +357,50 @@ def test_tutte_recovers_zero_field_partition_sum(g):
             assert direct == via_tutte
 
 
+# -- the slices of Z against the walk's own decode -------------------------------
+
+def tutte_from_walk(g: Graph, zf: MultiPoly) -> MultiPoly:
+    """sum a_km (x-1)^(k-k(G)) (y-1)^(m+k-n), a_km the count of subgraphs
+    with k components and m edges in the walk's decode ``zf``, in
+    polynomial arithmetic."""
+    x1, y1 = MultiPoly.var("q") - 1, MultiPoly.var("s") - 1
+    k_whole = g.component_count()
+    total = MultiPoly.zero()
+    for (k, _, m, _), c in zf.terms.items():
+        total = total + c * x1 ** (k - k_whole) * y1 ** (m + k - g.n)
+    return total
+
+
+def assert_slices_match_walk(g: Graph) -> None:
+    zf = zero_field_by_walk(g)
+    assert zero_field_poly(g, workers=1) == zf
+    assert zero_field_poly(g, workers=2) == zf
+    assert chromatic_poly(g) == zf.substitute(v=-1)
+    assert tutte_poly(g) == tutte_from_walk(g, zf)
+
+
+def test_slices_match_walk_on_catalog(catalog):
+    for g in catalog.values():
+        assert_slices_match_walk(g)
+
+
+@given(multigraphs())
+@example(Graph.make(2, [(0, 0), (0, 1)]))  # a loop: P = 0
+@example(Graph.make(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)]))
+@example(Graph.make(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))  # k(G) = 2
+@example(Graph.make(6, [(0, 1), (1, 2), (2, 0), (3, 4), (3, 4), (4, 4)]))
+@settings(max_examples=30, deadline=None)
+def test_slices_match_walk_on_multigraphs(g):
+    assert_slices_match_walk(g)
+
+
+@pytest.mark.parametrize("g", [grid_graph(2, 5), circuit_graph(14),
+                               grid_graph(2, 7)], ids=["sq2x5", "C14", "sq2x7"])
+def test_slices_match_walk_on_frontier_graphs(g):
+    assert frontier.plan(g) is not None  # Z comes from the frontier engine
+    assert_slices_match_walk(g)
+
+
 # -- resource guards -----------------------------------------------------------
 
 def test_edge_cap_guards_engine():
@@ -379,7 +425,9 @@ def test_walk_refuses_more_edges_than_its_key_packing(monkeypatch):
     with pytest.raises(CapExceededError):
         subgraph_counts(g)
     with pytest.raises(CapExceededError):
-        zero_field_poly(g)
+        zero_field_by_walk(g)
+    # Z itself runs on the frontier engine, which packs no edge counts
+    assert zero_field_poly(g) == Q ** 2 + Q * ((ONE + V) ** 64 - 1)
 
 
 def test_oracle_state_cap():
