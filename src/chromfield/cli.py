@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -146,6 +147,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_strips(args) -> int:
+    if args.ly < 1:
+        raise BadInputError(f"--ly wants a strip width >= 1, got {args.ly}")
     reports = {
         "rows": strips.verify_row_structure(args.ly),
         "sums": strips.verify_sum_identities(args.ly),
@@ -196,7 +199,15 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
+def _finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise BadInputError(f"--{name} wants a finite number, got {value}")
+
+
 def _cmd_phi(args) -> int:
+    _finite(args, "q", "s", "w")
     rep = asymptotics.phi_circuit(args.q, args.s, args.w)
     _emit({
         "q": args.q, "s": args.s, "w": args.w,
@@ -210,6 +221,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_qc(args) -> int:
+    _finite(args, "s", "w")
     res = asymptotics.qc_circuit(args.s, args.w)
     payload = {"s": args.s, "w": args.w, "mode": res.mode,
                "value": res.value, "note": res.note}

@@ -18,9 +18,19 @@ block's factor is applied when its last frontier vertex retires.
 
 Coefficients are exact ints on monomials qt^a s^b v^c w^d, qt = q - s,
 each monomial packed into one int with fields as wide as max(n, e) needs.
+
+The plan is shared with the coloring oracle in ``partition``, which sweeps
+the colors of the frontier in place of its partitions.  ``sweep_order``
+builds a greedy minimum-frontier order from every start vertex and keeps
+the cheapest under a cost the caller gives per step (k frontier vertices,
+the new one included, and d edges decided): here the labelled Bell number
+of k times 1 + d, infinite past MAX_WIDTH; for the oracle q^k.
+``transfer_steps`` turns any order into the steps both sweeps run.
 """
 
 from __future__ import annotations
+
+import math
 
 from .graphs import Graph
 
@@ -41,13 +51,13 @@ Step = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
-            limit: int) -> tuple[list[int], int] | None:
-    """Vertex order that keeps the frontier small, and its work estimate.
+            weight, limit) -> tuple[list[int], int] | None:
+    """One order from ``start`` and its work; None once the work passes
+    ``limit``.
 
     Each step places the frontier neighbour that leaves the smallest
     frontier, preferring one joined to more frontier vertices; a new
-    component starts at its lowest-degree vertex.  Gives up (None) once
-    the frontier passes MAX_WIDTH or the work passes ``limit``.
+    component starts at its lowest-degree vertex.
     """
     open_nbrs = [len(s) for s in nbrs]  # neighbours not yet placed
     placed = [False] * n
@@ -56,11 +66,9 @@ def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
     work = 0
     v = start
     while True:
-        if len(front) >= MAX_WIDTH:
-            return None
         placed[v] = True
         order.append(v)
-        work += _LABELLED_BELL[len(front) + 1] * (1 + sum(placed[u] for u in ends[v]))
+        work += weight(len(front) + 1, sum(placed[u] for u in ends[v]))
         if work > limit:
             return None
         for u in nbrs[v]:
@@ -86,20 +94,16 @@ def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
             v = best[2]
 
 
-def plan(g: Graph) -> list[Step] | None:
-    """Transfer steps for ``g``, or None where the walk should be used.
+def sweep_order(g: Graph, weight, limit=None) -> tuple[list[int], int] | None:
+    """The cheapest greedy vertex order for a sweep over ``g``, and its work.
 
-    The frontier engine is chosen when some greedy order keeps every
-    frontier at MAX_WIDTH vertices or fewer and its estimated work -- the
-    sum over steps of the labelled Bell number of the frontier times one
-    plus the edges decided -- times _STATE_COST is below 2^e, the bound on
-    the walk's leaves.  Each vertex is tried as the start of the order.  The
-    choice depends on the graph alone, not on its labels or an option.
+    A step that holds k frontier vertices, the new one included, and
+    decides d edges costs weight(k, d).  Each vertex is tried as the start
+    of the order, lowest degree first; a start is given up once its work
+    passes ``limit`` or reaches the best work found so far.  None when no
+    order stays within ``limit``.
     """
-    n, e = g.n, g.e
-    limit = (1 << e) // _STATE_COST
-    if n == 0 or 2 * (n + e) > limit:
-        return None
+    n = g.n
     nbrs: list[set[int]] = [set() for _ in range(n)]
     ends: list[list[int]] = [[] for _ in range(n)]  # one entry per edge end
     for u, v in g.edges:
@@ -110,12 +114,30 @@ def plan(g: Graph) -> list[Step] | None:
             nbrs[v].add(u)
     best = None
     for start in sorted(range(n), key=lambda x: (len(nbrs[x]), x)):
-        found = _greedy(n, nbrs, ends, start, limit if best is None else best[1] - 1)
+        found = _greedy(n, nbrs, ends, start, weight,
+                        math.inf if limit is None else limit)
         if found is not None:
             best = found
-    if best is None:
+            limit = found[1] - 1
+    return best
+
+
+def plan(g: Graph) -> list[Step] | None:
+    """Transfer steps for ``g``, or None where the walk should be used.
+
+    The frontier engine is chosen when ``sweep_order`` finds an order that
+    keeps every frontier at MAX_WIDTH vertices or fewer and whose estimated
+    work -- the sum over steps of the labelled Bell number of the frontier
+    times one plus the edges decided -- times _STATE_COST is below 2^e, the
+    bound on the walk's leaves.  The choice depends on the graph alone, not
+    on its labels or an option.
+    """
+    limit = (1 << g.e) // _STATE_COST
+    if g.n == 0 or 2 * (g.n + g.e) > limit:
         return None
-    return transfer_steps(g, best[0])
+    best = sweep_order(g, lambda k, d: _LABELLED_BELL[k] * (1 + d)
+                       if k <= MAX_WIDTH else math.inf, limit)
+    return None if best is None else transfer_steps(g, best[0])
 
 
 def transfer_steps(g: Graph, order) -> list[Step]:

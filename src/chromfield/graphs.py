@@ -166,7 +166,17 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data) -> "Graph":
-        return cls.make(int(data["n"]), data["edges"], str(data.get("name", "")))
+        """Graph from {"n": count, "edges": [[u, v], ...]}.  The count and
+        the ends must be ints (not bools) and each edge a pair; anything
+        else is a BadInputError, never truncated."""
+        n, edges = data["n"], data["edges"]
+        if type(n) is not int:
+            raise BadInputError(f"vertex count must be an integer, got {n!r}")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                for e in edges):
+            raise BadInputError("edges must be a list of integer pairs")
+        return cls.make(n, edges, str(data.get("name", "")))
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.e}"]

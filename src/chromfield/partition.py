@@ -38,11 +38,14 @@ circulants such as C10(1,2) and small graphs.  ``ph_poly``,
 and go through that choice; ``zero_field_by_walk``, the walk's own
 zero-field decode, is kept as an independent reference for Z's assembly.
 
-A second, fully independent route sums over the q^n colorings instead of
-the subgraphs (``oracle_count_table`` and friends): a transfer over the
-colors of the vertices that still wait for a neighbour, in a vertex order
-of its own.  It exists to cross-check the cluster route, calls neither
-engine and is never used to feed it.  ``CHROMFIELD_ORACLE_CAP`` bounds the
+A second, independent route sums over the q^n colorings instead of the
+subgraphs (``oracle_count_table`` and friends): a transfer over the colors
+of the vertices that still wait for a neighbour.  It shares the frontier
+engine's sweep plan -- ``frontier.sweep_order`` and
+``frontier.transfer_steps`` -- but never its sum, calls neither engine and
+is never used to feed one, so it cross-checks the cluster route; an order
+changes only its cost, never a count.  It refuses more than
+DEFAULT_VERTEX_CAP vertices, and ``CHROMFIELD_ORACLE_CAP`` bounds the
 transfer's work, q colors tried on each state it holds, not the q^n
 colorings.
 """
@@ -403,110 +406,53 @@ def alpha_layers(ph: MultiPoly, n: int) -> list[MultiPoly]:
 
 # -- independent coloring-sum oracle ------------------------------------------
 
-def _coloring_order(g: Graph, q: int) -> tuple[int, list[int]]:
-    """The states a coloring transfer holds in all, and its vertex order.
-
-    A vertex waits, colored, until all its neighbours are colored; the
-    transfer holds q^(waiting vertices) states.  From each start vertex,
-    each step colors the neighbour of a waiting vertex that leaves the
-    fewest waiting (a new component starts at its lowest-degree vertex);
-    the order with the least total of q^waiting wins, and that total is
-    returned with it.
-    """
-    n = g.n
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges:
-        if u != v:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    best: tuple[int, list[int]] | None = None
-    for start in range(n):
-        open_nbrs = [len(s) for s in nbrs]  # neighbours not yet colored
-        placed = [False] * n
-        waiting: set[int] = set()
-        order: list[int] = []
-        cost = 0
-        x = start
-        while True:
-            placed[x] = True
-            order.append(x)
-            for y in nbrs[x]:
-                open_nbrs[y] -= 1
-                if not open_nbrs[y]:
-                    waiting.discard(y)
-            if open_nbrs[x]:
-                waiting.add(x)
-            cost += q ** len(waiting)
-            if len(order) == n:
-                break
-            cands = {y for f in waiting for y in nbrs[f] if not placed[y]}
-            if cands:
-                x = min(cands, key=lambda y: (
-                    (open_nbrs[y] > 0)
-                    - sum(1 for f in nbrs[y] & waiting if open_nbrs[f] == 1), y))
-            else:
-                x = min((y for y in range(n) if not placed[y]),
-                        key=lambda y: (len(nbrs[y]), y))
-        if best is None or cost < best[0]:
-            best = (cost, order)
-    return best
-
-
 def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
     """N[m][ns] = number of q-colorings with m monochromatic edges and ns
     vertices colored from {0..s-1}.
 
     Exact integer counts, summed over all q^n colorings by a transfer over
-    the colors of the waiting vertices (``_coloring_order``).  Each state
-    keeps its whole (m, ns) table in one int: the count of (m, ns) sits at
-    bit (m*(n+1) + ns)*B, where B bits hold q^n, so coloring a vertex is
-    one shift and merging two states one addition.  A loop is always
-    monochromatic and each parallel edge counts once.
+    the colors of the waiting vertices: those colored that still have an
+    uncolored neighbour.  Its vertex order and steps come from
+    ``frontier.sweep_order`` and ``frontier.transfer_steps``, with a step
+    that holds k waiting vertices costing q^k; the frontier engine's sum is
+    never used.  Each state keeps its whole (m, ns) table in one int: the
+    count of (m, ns) sits at bit (m*(n+1) + ns)*B, where B bits hold q^n,
+    so coloring a vertex is one shift and merging two states one addition.
+    A loop is always monochromatic and each parallel edge counts once.
     """
     if q < 0 or not 0 <= s <= q:
         raise BadInputError(f"need integers 0 <= s <= q, got q={q}, s={s}")
     n = g.n
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the oracle's vertex cap of {DEFAULT_VERTEX_CAP}")
     table = [[0] * (n + 1) for _ in range(g.e + 1)]
     if n == 0:
         table[0][0] = 1
         return table
     if q == 0:
         return table
-    states, order = _coloring_order(g, q)
-    # every step tries each of the q colors on each state it holds; the
-    # states held before the steps total ``states`` too, since the transfer
-    # starts from one state and ends with no vertex waiting
-    work = q * states
+    # every step tries each of the q colors on each state it holds, so the
+    # work is q times the states held
+    order, work = frontier.sweep_order(g, lambda k, d: q ** k)
     if work > _oracle_cap():
         raise CapExceededError(
-            f"{work} transfer steps ({states} states x {q} colors) exceeds "
+            f"{work} transfer steps ({work // q} states x {q} colors) exceeds "
             f"the oracle cap of {_oracle_cap()} "
             "(override with CHROMFIELD_ORACLE_CAP)")
-    pos = [0] * n
-    for i, x in enumerate(order):
-        pos[x] = i
-    back: list[list[int]] = [[] for _ in range(n)]  # earlier ends, per edge
-    loops = [0] * n
-    done = list(pos)  # the step after which a vertex waits for no neighbour
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-            continue
-        a, b = (u, v) if pos[u] < pos[v] else (v, u)
-        back[b].append(a)
-        done[a] = max(done[a], pos[b])
     bits = (q ** n).bit_length()
     row = (n + 1) * bits
     waiting: list[int] = []
     layer: dict[tuple[int, ...], int] = {(): 1}
-    for i, x in enumerate(order):
-        idx = [waiting.index(y) for y in back[x]]
-        kept = [j for j, y in enumerate(waiting) if done[y] > i]
-        stays = done[x] > i
+    for x, back, retire in frontier.transfer_steps(g, order):
+        loops = back.count(x)
+        idx = [waiting.index(y) for y in back if y != x]
+        kept = [j for j, y in enumerate(waiting) if y not in retire]
+        stays = x not in retire
         waiting = [waiting[j] for j in kept] + [x] * stays
         nxt: dict[tuple[int, ...], int] = {}
         for colors, packed in layer.items():
-            hits = [loops[x]] * q  # monochromatic edges x closes, per color
+            hits = [loops] * q  # monochromatic edges x closes, per color
             for j in idx:
                 hits[colors[j]] += 1
             base = tuple(colors[j] for j in kept)

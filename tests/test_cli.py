@@ -1,17 +1,24 @@
 """Command-line surface: JSON envelopes, text reports, graph input
 routes, exit statuses, and byte-level determinism."""
 
+import argparse
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromfield import zeros
-from chromfield.cli import main
+from chromfield.cli import _load_graph, main
+from chromfield.errors import BadInputError
 from chromfield.families import family_ph, z_circuit
-from chromfield.graphs import line_graph
+from chromfield.graphs import Graph, line_graph
 from chromfield.partition import chromatic_poly, ph_poly
 from chromfield.poly import MultiPoly
 
@@ -196,6 +203,12 @@ def test_usage_error_exit_two():
     ["oracle", "--family", "line:2", "--q", "2", "--s", "3"],
     ["oracle", "--family", "line:2", "--q", "2", "--s", "1", "--w", "abc"],
     ["oracle", "--family", "line:2", "--q", "2", "--s", "1", "--w", "1/0"],
+    ["strips", "--ly", "0"],
+    ["strips", "--ly", "-2", "--growth-s", "2"],
+    ["phi", "--q", "nan", "--s", "1", "--w", "1"],
+    ["phi", "--q", "3", "--s", "1", "--w", "inf"],
+    ["qc", "--s", "nan", "--w", "1"],
+    ["qc", "--s", "1", "--w=-inf"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -222,13 +235,49 @@ def test_miscounted_edge_list_exit_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", ['{"n": 3, "edges": [[0, 1], [1', '{"edges": []}',
-                                  '{"n": -3, "edges": []}'])
+                                  '{"n": -3, "edges": []}',
+                                  '{"n": 2.7, "edges": [[0, 1]]}',
+                                  '{"n": true, "edges": []}',
+                                  '{"n": 3, "edges": [[0, 1, 2]]}',
+                                  '{"n": 3, "edges": [[0, 1.9]]}',
+                                  '{"n": Infinity, "edges": []}'])
 def test_malformed_json_graph_exit_two(capsys, monkeypatch, text):
     import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, ["compute", "--graph", "-"])
     assert code == 2 and out == ""
     assert err.startswith("error: bad JSON graph")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+_json_graphs = st.fixed_dictionaries({
+    "n": st.integers(-2, 6) | st.floats() | _json_values,
+    "edges": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=4) | _json_values,
+}, optional={"name": _json_values})
+
+
+@given(st.text(alphabet="0123456789 -.#x\n", max_size=40) | st.text(max_size=40),
+       _json_graphs)
+@example("1 1\n0", {"n": math.inf, "edges": []})
+@example("", {"n": 2, "edges": [[0, -math.inf]]})
+@settings(max_examples=200, deadline=None)
+def test_graph_readers_raise_only_bad_input(text, data):
+    # whatever the edge-list text or the JSON object, a reader returns a
+    # graph or raises BadInputError, which main turns into exit status 2
+    try:
+        Graph.from_edge_list_text(text)
+    except BadInputError:
+        pass
+    args = argparse.Namespace(family=None, graph="-")
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(data))):
+        try:
+            _load_graph(args)
+        except BadInputError:
+            pass
 
 
 def test_negative_vertex_count_exit_two(capsys, monkeypatch):

@@ -24,7 +24,8 @@ from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                enumerate_spanning_subgraphs, grid_graph,
                                line_graph, make_family, null_graph,
                                square_with_diagonal, star_graph)
-from chromfield.partition import (alpha_layers, beta_layers, chromatic_number,
+from chromfield.partition import (DEFAULT_VERTEX_CAP, alpha_layers,
+                                  beta_layers, chromatic_number,
                                   chromatic_poly, oracle_count_table,
                                   oracle_ph, oracle_z, ph_poly, subgraph_counts,
                                   tutte_poly, z_poly, zero_field_by_walk,
@@ -445,6 +446,18 @@ def test_oracle_cap_counts_transfer_work_not_colorings(monkeypatch):
     monkeypatch.setenv("CHROMFIELD_ORACLE_CAP", "47")
     with pytest.raises(CapExceededError):
         oracle_count_table(null_graph(12), 4, 1)
+
+
+def test_oracle_vertex_cap():
+    # planning tries every start vertex at O(n^2) each, so 2000 isolated
+    # vertices would plan for minutes while the work cap sees 4000 steps;
+    # the vertex cap refuses them before any order or table is built
+    with time_limit(10):
+        with pytest.raises(CapExceededError):
+            oracle_count_table(null_graph(2000), 2, 1)
+        table = oracle_count_table(null_graph(DEFAULT_VERTEX_CAP), 2, 1)
+    assert table == [[math.comb(DEFAULT_VERTEX_CAP, k)
+                      for k in range(DEFAULT_VERTEX_CAP + 1)]]
 
 
 @pytest.mark.parametrize("g, q", [
