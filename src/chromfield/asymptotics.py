@@ -206,6 +206,8 @@ def qc_locate_pair_degeneracy(s: float, w: float, tol: float = 1e-12) -> float:
         raise PreconditionUnmetError("degeneracy bracket failed")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break  # adjacent floats: for large s their gap exceeds tol
         if a(mid) < 0:
             lo = mid
         else:

@@ -8,8 +8,9 @@ slices), ``phi`` and ``qc`` (infinite-circuit asymptotics).
 
 Output is one JSON document per invocation with sorted keys, so repeated
 runs are byte-identical.  Exit status: 0 on success, 1 when a requested
-check fails or on a domain error, 2 on usage errors and unreadable input
-(argparse's convention), with an error message and no traceback.
+check fails or on a domain error (a cap refused, a float result that
+overflowed), 2 on usage errors and unreadable input (argparse's
+convention), with an error message and no traceback.
 """
 
 from __future__ import annotations
@@ -17,16 +18,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, families, identities, strips, zeros
-from .errors import BadInputError, ChromfieldError
+from .errors import (BadInputError, CapExceededError, ChromfieldError,
+                     PreconditionUnmetError)
 from .graphs import FAMILY_BUILDERS, Graph, make_family
-from .partition import (chromatic_poly, oracle_z, ph_poly, tutte_poly, z_poly,
-                        zero_field_poly)
+from .partition import (DEFAULT_VERTEX_CAP, chromatic_poly, oracle_z, ph_poly,
+                        tutte_poly, z_poly, zero_field_poly)
 from .poly import VARS
+
+# strips checks take time growing about as ly^4: --ly 40 ran in 3-7 s and
+# --ly 60 in 38 s (2 vCPUs), so wider strips are refused before any work
+STRIP_WIDTH_CAP = 40
 
 
 def _parse_family(text: str) -> tuple[str, int]:
@@ -39,6 +46,10 @@ def _parse_family(text: str) -> tuple[str, int]:
 
 
 def _fraction(text: str, error: str) -> Fraction:
+    # Fraction builds 10^exponent exactly (1e9999999 takes 15 s), so an
+    # exponent of five or more digits is refused before it is built
+    if re.search(r"[eE][+-]?0*[1-9]\d{4}", text.replace("_", "")):
+        raise BadInputError(error + " (exponent too large)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -73,7 +84,15 @@ def _add_graph_args(sub) -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    """Print the payload; a float that overflowed to inf or nan has no JSON
+    form, so it is a domain error rather than an ``Infinity`` token."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise PreconditionUnmetError(
+            "the result is not finite in floating point "
+            "at these arguments") from None
+    print(text)
 
 
 def _cmd_compute(args) -> int:
@@ -104,6 +123,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_family(args) -> int:
     kind, n = _parse_family(args.family)
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the family cap of {DEFAULT_VERTEX_CAP}, "
+            "the engines' vertex cap")
     p = families.family_ph(kind, n) if args.ph else families.family_z(kind, n)
     _emit({
         "family": kind,
@@ -149,6 +172,9 @@ def _cmd_check(args) -> int:
 def _cmd_strips(args) -> int:
     if args.ly < 1:
         raise BadInputError(f"--ly wants a strip width >= 1, got {args.ly}")
+    if args.ly > STRIP_WIDTH_CAP:
+        raise CapExceededError(
+            f"--ly {args.ly} exceeds the strip width cap of {STRIP_WIDTH_CAP}")
     reports = {
         "rows": strips.verify_row_structure(args.ly),
         "sums": strips.verify_sum_identities(args.ly),
@@ -183,8 +209,12 @@ def _cmd_zeros(args) -> int:
             others = ", ".join(v for v in VARS if v != args.var)
             raise BadInputError(
                 f"--fix wants one of {others} (not --var {args.var}), got {name!r}")
-        fixed[name] = float(
-            _fraction(val, f"--fix wants name=number, got {item!r}"))
+        value = _fraction(val, f"--fix wants name=number, got {item!r}")
+        try:
+            fixed[name] = float(value)
+        except OverflowError:
+            raise BadInputError(
+                f"--fix value {val.strip()!r} is outside the float range") from None
     sl = zeros.zeros_in(p, args.var, fixed, drop_tol=args.drop_tol)
     _emit({
         "graph_hash": g.graph_hash(),

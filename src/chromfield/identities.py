@@ -13,6 +13,14 @@ identity holds) or a boolean verdict.  The main groups are:
   equivalence classes that collapse at zero field;
 * elementary proper-coloring lower bounds for bipartite graphs.
 
+The deletion-contraction check needs Z of G-e and G/e for every edge, and
+these minors fall into few isomorphism classes (sq2x5's 26 into 9).  A
+``MinorMemo``, made for one run and passed down as Z itself is, computes Z
+once per class: a minor joins a stored class only when an explicit vertex
+map carries its edge multiset onto the class's, a label-free invariant
+merely picking the candidates.  Equal Z's give an equal defect, so the
+suite decides the verdict once per (class of G-e, class of G/e) pair.
+
 Deviations that are rational rather than polynomial are returned as
 ``RationalExpr`` with no cancellation beyond integer content, so the caller
 can compare against a printed closed form by cross-multiplication.
@@ -20,6 +28,7 @@ can compare against a printed closed form by cross-multiplication.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,19 +204,149 @@ def is_unimodal(seq) -> bool:
     return True
 
 
+# -- minors up to isomorphism -------------------------------------------------
+
+# Candidate images one isomorphism search may try before it gives up; the
+# memo then computes Z rather than trust the invariant alone.
+_MATCH_NODES = 10_000
+
+
+def _shape(g: Graph):
+    """A label-free key for ``g``, with the vertex colours and neighbour
+    multiplicities that the isomorphism search works from.
+
+    The key holds n, e, the sorted multiplicity profile of the distinct
+    edges (loops marked) and the sorted colours left by two rounds of
+    colour refinement started from (degree, loop count).  Isomorphic
+    graphs share it; graphs that share it need not be isomorphic.
+    """
+    mult = Counter(g.edges)
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    loops = [0] * g.n
+    for (u, v), m in mult.items():
+        if u == v:
+            loops[u] = m
+        else:
+            adj[u][v] = adj[v][u] = m
+    colour = [(sum(adj[x].values()) + 2 * loops[x], loops[x])
+              for x in range(g.n)]
+    for _ in range(2):
+        colour = [(colour[x], tuple(sorted((colour[y], m)
+                                           for y, m in adj[x].items())))
+                  for x in range(g.n)]
+    key = (g.n, g.e, tuple(sorted((u == v, m) for (u, v), m in mult.items())),
+           tuple(sorted(colour)))
+    return key, colour, adj
+
+
+def _vertex_map(ca, adja, cb, adjb, budget: int) -> list[int] | None:
+    """A vertex map carrying graph a onto graph b, loops and parallel edges
+    included, or None when there is none or ``budget`` candidate images
+    were tried without finding one.
+
+    Each vertex goes to a vertex of the same colour.  Vertices of a are
+    placed in breadth-first order from the rarest colour, so a vertex
+    with a placed neighbour p only tries the neighbours of p's image; a
+    candidate must match a's multiplicity to every placed vertex.
+    """
+    n = len(ca)
+    rarity = Counter(ca)
+    order: list[int] = []
+    seen = [False] * n
+    for root in sorted(range(n), key=lambda x: (rarity[ca[x]], x)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for y in adja[order[head]]:
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+            head += 1
+    image = [-1] * n
+    used = [False] * n
+    left = budget
+
+    def extend(i: int) -> bool:
+        nonlocal left
+        if i == n:
+            return True
+        x = order[i]
+        placed = [(image[y], m) for y, m in adja[x].items() if image[y] >= 0]
+        weight = sum(m for _, m in placed)
+        for t in adjb[placed[0][0]] if placed else range(n):
+            if used[t] or cb[t] != ca[x]:
+                continue
+            if left <= 0:
+                return False
+            left -= 1
+            if (all(adjb[t].get(y) == m for y, m in placed)
+                    and sum(m for y, m in adjb[t].items() if used[y]) == weight):
+                image[x], used[t] = t, True
+                if extend(i + 1):
+                    return True
+                image[x], used[t] = -1, False
+        return False
+
+    return image if extend(0) else None
+
+
+class MinorMemo:
+    """Z of graphs computed once per isomorphism class.
+
+    A graph is looked up under its ``_shape`` key, and it joins a class
+    already stored there only when ``_vertex_map`` finds an explicit map
+    onto that class's first member; otherwise, or when the search runs
+    out of its node budget, its Z is computed and it starts a new class.
+    Graphs with the very same edge list skip the search.  One memo lives
+    for one caller's run; nothing is kept between runs.
+    """
+
+    def __init__(self, workers: int = 1):
+        self.workers = workers
+        self.z: list[MultiPoly] = []  # Z of each class
+        self._labelled: dict = {}  # (n, sorted edges) -> class
+        self._members: dict = {}  # _shape key -> [(class, colours, adj)]
+
+    def classify(self, h: Graph) -> int:
+        """The index of ``h``'s class, computing its Z if it starts one."""
+        exact = (h.n, tuple(sorted(h.edges)))
+        cls = self._labelled.get(exact)
+        if cls is None:
+            key, colour, adj = _shape(h)
+            reps = self._members.setdefault(key, [])
+            cls = next((c for c, rc, radj in reps
+                        if _vertex_map(colour, adj, rc, radj, _MATCH_NODES)
+                        is not None), None)
+            if cls is None:
+                cls = len(self.z)
+                self.z.append(z_poly(h, self.workers))
+                reps.append((cls, colour, adj))
+            self._labelled[exact] = cls
+        return cls
+
+    def z_of(self, h: Graph) -> MultiPoly:
+        return self.z[self.classify(h)]
+
+
 # -- deviation measures -------------------------------------------------------
 
 def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1,
-                  ze: MultiPoly | None = None) -> MultiPoly:
+                  ze: MultiPoly | None = None,
+                  memo: MinorMemo | None = None) -> MultiPoly:
     """Z(G) - [Z(G-e) + v Z(G/e)]: the deletion-contraction defect.
 
     Nonzero in general; always divisible by s*v*w*(w-1).  ``ze`` is Z(G)
-    when the caller has it.
+    when the caller has it; with a ``memo`` the minors' Z come from it.
     """
     if ze is None:
         ze = z_poly(g, workers)
-    zd = z_poly(g.delete_edge(edge_idx), workers)
-    zc = z_poly(g.contract_edge(edge_idx), workers)
+    if memo is None:
+        memo = MinorMemo(workers)
+    zd = memo.z_of(g.delete_edge(edge_idx))
+    zc = memo.z_of(g.contract_edge(edge_idx))
     return ze - (zd + V * zc)
 
 
@@ -403,7 +542,10 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
     to every check.  The zero-field one is ``zero_field_by_walk``, read
     from the walk's keys rather than sliced from Z, so the s=0 reduction
     and beta_0 test Z's assembly (and on narrow graphs the frontier
-    engine) against it.
+    engine) against it.  The deletion-contraction checks take the minors'
+    Z from a ``MinorMemo``, once per isomorphism class, and decide
+    ``has_dcr_factor`` once per pair of classes (G-e, G/e): K4's twelve
+    minors are two classes and one pair, so its six edges share a verdict.
     """
     z = z_poly(g, workers)
     zf = zero_field_by_walk(g, workers)
@@ -426,9 +568,14 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
         rep = alpha_layer_report(g, ph)
         add("alpha-layers", rep.holds, "; ".join(rep.failures))
         add("multi-edge-invariance", multi_edge_invariance(g, ph))
+    memo = MinorMemo(workers)
+    dcr: dict[tuple[int, int], bool] = {}
     for idx in range(g.e):
-        dev = dcr_deviation(g, idx, workers, z)
-        add(f"dcr-factor[e{idx}]", has_dcr_factor(dev))
+        pair = (memo.classify(g.delete_edge(idx)),
+                memo.classify(g.contract_edge(idx)))
+        if pair not in dcr:
+            dcr[pair] = has_dcr_factor(dcr_deviation(g, idx, workers, z, memo))
+        add(f"dcr-factor[e{idx}]", dcr[pair])
     if g.cycle_rank() == 0:
         add("forest-scaling", cycle_deviation(g, z).num.is_zero())
     return out

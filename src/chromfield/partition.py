@@ -433,13 +433,15 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
     if q == 0:
         return table
     # every step tries each of the q colors on each state it holds, so the
-    # work is q times the states held
-    order, work = frontier.sweep_order(g, lambda k, d: q ** k)
-    if work > _oracle_cap():
+    # work is q times the states held; the planner gives up on an order
+    # once its work passes the cap, so a refusal never plans in full
+    cap = _oracle_cap()
+    best = frontier.sweep_order(g, lambda k, d: q ** k, cap)
+    if best is None:
         raise CapExceededError(
-            f"{work} transfer steps ({work // q} states x {q} colors) exceeds "
-            f"the oracle cap of {_oracle_cap()} "
-            "(override with CHROMFIELD_ORACLE_CAP)")
+            f"the transfer work (states held x {q} colors tried) exceeds "
+            f"the oracle cap of {cap} (override with CHROMFIELD_ORACLE_CAP)")
+    order, _ = best
     bits = (q ** n).bit_length()
     row = (n + 1) * bits
     waiting: list[int] = []

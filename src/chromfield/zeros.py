@@ -149,7 +149,14 @@ def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, complex],
     vanished (useful when the fixed values are floats sitting on a locus
     where the exact coefficient is zero).
     """
-    coeffs = p.univariate(variable, fixed)
+    try:
+        coeffs = p.univariate(variable, fixed)
+        finite = all(cmath.isfinite(c) for c in coeffs)
+    except OverflowError:  # a float power overflowed
+        finite = False
+    if not finite:
+        raise PreconditionUnmetError(
+            f"slice in {variable} overflows a float at {fixed}")
     if not coeffs or all(abs(c) == 0 for c in coeffs):
         raise PreconditionUnmetError(
             f"slice in {variable} vanishes identically at {fixed}")

@@ -5,6 +5,8 @@ gate, so every expensive polynomial is computed once per session.
 """
 
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging where SIGALRM exists; no limit elsewhere."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise AssertionError(f"still walking after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def named_fixture_graphs() -> dict[str, Graph]:

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from chromfield import zeros
-from chromfield.cli import _load_graph, main
+from chromfield.cli import STRIP_WIDTH_CAP, _load_graph, main
 from chromfield.errors import BadInputError
 from chromfield.families import family_ph, z_circuit
 from chromfield.graphs import Graph, line_graph
-from chromfield.partition import chromatic_poly, ph_poly
+from chromfield.partition import DEFAULT_VERTEX_CAP, chromatic_poly, ph_poly
 from chromfield.poly import MultiPoly
 
 
@@ -216,6 +217,46 @@ def test_bad_argument_exit_two(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--q", "1e308", "--s", "1e308", "--w", "1e308"],
+    ["phi", "--q", "1e200", "--s", "1", "--w", "1e200"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1e308,w=1e308"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "w=1e200"],
+])
+def test_result_overflow_is_domain_error(capsys, argv):
+    # finite arguments whose float result overflows: no Infinity or NaN
+    # token (not JSON) and no OverflowError traceback
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_qc_large_s_terminates(capsys):
+    # near q = 5e19 adjacent floats are farther apart than the bisection
+    # tolerance, which once kept it halving forever
+    with time_limit(10):
+        data = run_json(capsys, ["qc", "--s", "1e20", "--w", "0.5"])
+    assert data["mode"] == "pair-degeneracy"
+    assert data["located"] == data["value"] == 5e19
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--family", f"circuit:{DEFAULT_VERTEX_CAP + 1}"],
+    ["family", "--family", "circuit:200"],
+    ["family", "--family", "star:200", "--ph"],
+    ["family", "--family", "line:2000"],
+    ["strips", "--ly", str(STRIP_WIDTH_CAP + 1)],
+    ["strips", "--ly", "80", "--growth-s", "2"],
+])
+def test_family_and_strips_refuse_before_work(capsys, argv):
+    # circuit:70 took 11 s and printed 12.7 MB, and circuit:200 and
+    # strips --ly 80 ran past 30 s, before these were refused
+    with time_limit(10):
+        code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
 @pytest.mark.parametrize("fix", ["x=1", "q=1", "s=1,x=2", "s=1,q=2", "=1"])
 def test_fix_name_not_a_free_variable_exit_two(capsys, fix):
     # a name outside q, s, v, w, or the variable being solved for, would
@@ -224,6 +265,39 @@ def test_fix_name_not_a_free_variable_exit_two(capsys, fix):
                                       "--var", "q", "--fix", fix])
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+_fix_items = st.tuples(
+    st.sampled_from(["q", "s", "v", "w", "x", " w ", ""]) | st.text(max_size=3),
+    st.sampled_from(["=", "", "=="]),
+    st.text(alphabet="0123456789+-./eE_ nainf", max_size=10)
+    | st.floats().map(repr) | st.fractions().map(str)
+    | st.integers(-400, 400).map(lambda k: f"1e{k}"))
+
+
+@given(st.sampled_from(["q", "s", "v", "w"]),
+       st.lists(_fix_items, max_size=3).map(
+           lambda items: ",".join("".join(item) for item in items))
+       | st.text(max_size=20))
+@example("q", "s=1e99999999")
+@example("q", "s=1e400")
+@example("q", "s=1e308,w=1e308")
+@settings(max_examples=150, deadline=None)
+def test_fix_text_parses_or_is_refused(var, fix):
+    # whatever the --fix text, zeros prints a slice, refuses the text as a
+    # usage error (exit 2), or finds the parsed values outside its domain
+    # (exit 1), with an error line and never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), mock.patch("sys.stdout", out), \
+            mock.patch("sys.stderr", err):
+        code = main(["zeros", "--family", "line:2", "--var", var,
+                     f"--fix={fix}"])
+    if code == 0:
+        assert json.loads(out.getvalue())["variable"] == var
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert code == 2 or "--fix" not in err.getvalue()
 
 
 def test_miscounted_edge_list_exit_two(capsys, monkeypatch):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromfield import identities, partition
 from chromfield.errors import PreconditionUnmetError
@@ -24,7 +26,8 @@ from chromfield.identities import (alpha_layer_report, alpha_magnitude_profile,
                                    chromatic_equivalent_check, cycle_deviation,
                                    dcr_deviation, has_dcr_factor,
                                    has_kit_factor, has_tutte_difference_factor,
-                                   identity_suite, is_unimodal, kit_deviation,
+                                   MinorMemo, identity_suite, is_unimodal,
+                                   kit_deviation,
                                    multi_edge_invariance, one_color_values,
                                    reduction_deviations, symmetry_deviation,
                                    tutte_equivalent_difference, z_line_subtop)
@@ -140,6 +143,63 @@ def test_dcr_deviation_vanishes_at_collapse_slices():
     assert dev.substitute(s=0).is_zero()
     assert dev.substitute(v=0).is_zero()
     assert dev.substitute(w=0).is_zero()
+
+
+# -- minors up to isomorphism --------------------------------------------------
+
+K33 = Graph.make(6, [(i, j) for i in range(3) for j in range(3, 6)])
+PRISM = Graph.make(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                       (0, 3), (1, 4), (2, 5)])
+
+
+def test_memo_hit_needs_a_vertex_map():
+    # K3,3 and the triangular prism are both 3-regular on six vertices, so
+    # they share the invariant key, but they are not isomorphic: a cache
+    # keyed on the invariant alone would hand the prism K3,3's Z
+    assert identities._shape(K33)[0] == identities._shape(PRISM)[0]
+    assert z_poly(K33) != z_poly(PRISM)
+    memo = MinorMemo()
+    assert memo.classify(K33) != memo.classify(PRISM)
+    assert memo.z_of(K33) == z_poly(K33)
+    assert memo.z_of(PRISM) == z_poly(PRISM)
+    # a hit rests on a map that carries one edge multiset onto the other
+    swap = [0, 1, 3, 2, 4, 5]
+    moved = Graph.make(6, [(swap[u], swap[v]) for u, v in K33.edges])
+    assert memo.classify(moved) == memo.classify(K33)
+    _, ca, adja = identities._shape(K33)
+    _, cb, adjb = identities._shape(moved)
+    image = identities._vertex_map(ca, adja, cb, adjb, 100)
+    assert sorted(Graph.make(6, [(image[u], image[v])
+                                 for u, v in K33.edges]).edges) \
+        == sorted(moved.edges)
+
+
+@st.composite
+def relabeled_multigraphs(draw):
+    """A multigraph with loops, parallel edges and isolated vertices, and
+    the same graph under a random relabeling; edge j of one is edge j of
+    the other."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(0, n - 1) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=8 if n else 0))
+    perm = draw(st.permutations(range(n)))
+    return (Graph.make(n, edges),
+            Graph.make(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+@given(relabeled_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_memo_z_is_z_of_each_minor(pair):
+    g, moved = pair
+    memo = MinorMemo()
+    for idx in range(g.e):
+        for minor in (Graph.delete_edge, Graph.contract_edge):
+            a, b = minor(g, idx), minor(moved, idx)
+            assert memo.z_of(a) == z_poly(a)
+            assert memo.z_of(b) == z_poly(b)
+            # six vertices never exhaust the search budget, so the
+            # relabeled copy always joins its original's class
+            assert memo.classify(a) == memo.classify(b)
 
 
 # -- complete-separator quotient deviation -------------------------------------
@@ -298,14 +358,32 @@ def test_identity_suite_verdicts_unchanged(catalog):
         assert got == recorded[name], name
 
 
+def test_identity_suite_same_verdicts_without_matches(monkeypatch):
+    graphs = {**EXTRA_GRAPHS, "k4": complete_graph(4), "k33": K33,
+              "prism": PRISM}
+    recorded = {name: [(v.name, v.holds) for v in identity_suite(g)]
+                for name, g in graphs.items()}
+    monkeypatch.setattr(identities, "_MATCH_NODES", 0)
+    # with no search node to spend, even a relabeled copy starts a class
+    swap = [0, 1, 3, 2, 4, 5]
+    memo = MinorMemo()
+    memo.classify(K33)
+    assert memo.classify(Graph.make(6, [(swap[u], swap[v])
+                                        for u, v in K33.edges])) == 1
+    for name, g in graphs.items():
+        assert [(v.name, v.holds) for v in identity_suite(g)] == recorded[name]
+
+
 def test_identity_suite_holds_on_empty_graph():
     # with no vertex, alpha_0 is alpha_n = 1, which s*(w-1) does not divide
     assert all(v.holds for v in identity_suite(null_graph(0)))
 
 
-@pytest.mark.parametrize("g", [complete_graph(4), grid_graph(3, 3),
-                               grid_graph(2, 5)], ids=["k4", "sq3x3", "sq2x5"])
-def test_identity_suite_computes_each_graph_once(g, monkeypatch):
+@pytest.mark.parametrize("g, classes", [(complete_graph(4), 2),
+                                        (grid_graph(3, 3), 4),
+                                        (grid_graph(2, 5), 9)],
+                         ids=["k4", "sq3x3", "sq2x5"])
+def test_identity_suite_computes_each_graph_once(g, classes, monkeypatch):
     calls: Counter = Counter()
 
     def counting(kind, fn):
@@ -325,6 +403,7 @@ def test_identity_suite_computes_each_graph_once(g, monkeypatch):
     assert calls["z", g.edges] == 1
     assert calls["zero-field", g.edges] == 1
     assert sum(c for (kind, _), c in calls.items() if kind != "z") == 1
-    # Z of each deletion and contraction once, and of nothing else
+    # Z once for each isomorphism class of deletion or contraction, and of
+    # nothing else
     assert max(calls.values()) == 1
-    assert sum(calls.values()) == 2 + 2 * g.e
+    assert sum(calls.values()) == 2 + classes

@@ -9,14 +9,13 @@ assignments (oracle path).  These tests insist the routes agree exactly.
 import itertools
 import math
 import os
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from chromfield import frontier, partition
 from chromfield.errors import (BadDecompositionError, CapExceededError,
                                LoopyGraphError)
@@ -103,25 +102,6 @@ def test_subgraph_counts_match_brute_force(g):
     want = brute_subgraph_counts(g)
     assert subgraph_counts(g, workers=1) == want
     assert subgraph_counts(g, workers=2) == want
-
-
-@contextmanager
-def time_limit(seconds: int):
-    """Fail instead of hanging where SIGALRM exists; no limit elsewhere."""
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise AssertionError(f"still walking after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cycle_closing_edges_do_not_branch():
@@ -458,6 +438,16 @@ def test_oracle_vertex_cap():
         table = oracle_count_table(null_graph(DEFAULT_VERTEX_CAP), 2, 1)
     assert table == [[math.comb(DEFAULT_VERTEX_CAP, k)
                       for k in range(DEFAULT_VERTEX_CAP + 1)]]
+
+
+def test_oracle_refuses_before_planning_in_full():
+    # K60 holds 2^59 states at its widest; the planner gives up on each
+    # start once its work passes the cap, instead of planning all 60
+    with time_limit(10):
+        with pytest.raises(CapExceededError,
+                           match="transfer work .* exceeds the oracle cap"
+                           ".*CHROMFIELD_ORACLE_CAP"):
+            oracle_count_table(complete_graph(DEFAULT_VERTEX_CAP), 2, 1)
 
 
 @pytest.mark.parametrize("g, q", [
