@@ -95,15 +95,22 @@ def _emit(payload: dict) -> None:
     print(text)
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise BadInputError(f"--workers wants a count >= 1, got {args.workers}")
+    return args.workers
+
+
 def _cmd_compute(args) -> int:
+    workers = _workers(args)
     g = _load_graph(args)
     names = VARS
     if args.mode == "z":
-        p = z_poly(g, args.workers)
+        p = z_poly(g, workers)
     elif args.mode == "ph":
-        p = ph_poly(g, args.workers)
+        p = ph_poly(g, workers)
     elif args.mode == "zero-field":
-        p = zero_field_poly(g, args.workers)
+        p = zero_field_poly(g, workers)
     elif args.mode == "chromatic":
         p = chromatic_poly(g)
     else:
@@ -155,8 +162,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    workers = _workers(args)
     g = _load_graph(args)
-    verdicts = identities.identity_suite(g, args.workers)
+    verdicts = identities.identity_suite(g, workers)
     bad = 0
     for v in verdicts:
         tag = "ok  " if v.holds else "FAIL"
@@ -209,6 +217,8 @@ def _cmd_zeros(args) -> int:
             others = ", ".join(v for v in VARS if v != args.var)
             raise BadInputError(
                 f"--fix wants one of {others} (not --var {args.var}), got {name!r}")
+        if name in fixed:
+            raise BadInputError(f"--fix names {name} more than once")
         value = _fraction(val, f"--fix wants name=number, got {item!r}")
         try:
             fixed[name] = float(value)

@@ -15,11 +15,12 @@ identity holds) or a boolean verdict.  The main groups are:
 
 The deletion-contraction check needs Z of G-e and G/e for every edge, and
 these minors fall into few isomorphism classes (sq2x5's 26 into 9).  A
-``MinorMemo``, made for one run and passed down as Z itself is, computes Z
-once per class: a minor joins a stored class only when an explicit vertex
-map carries its edge multiset onto the class's, a label-free invariant
-merely picking the candidates.  Equal Z's give an equal defect, so the
-suite decides the verdict once per (class of G-e, class of G/e) pair.
+``MinorMemo``, made for one run of the suite, computes Z once per class:
+a minor joins a stored class only when an explicit vertex map carries its
+edge multiset onto the class's, a label-free invariant merely picking the
+candidates.  Equal Z's give an equal defect, so the suite reads the
+defect from the classes' Z's and decides the verdict once per (class of
+G-e, class of G/e) pair.
 
 Deviations that are rational rather than polynomial are returned as
 ``RationalExpr`` with no cancellation beyond integer content, so the caller
@@ -300,31 +301,25 @@ class MinorMemo:
     already stored there only when ``_vertex_map`` finds an explicit map
     onto that class's first member; otherwise, or when the search runs
     out of its node budget, its Z is computed and it starts a new class.
-    Graphs with the very same edge list skip the search.  One memo lives
-    for one caller's run; nothing is kept between runs.
+    One memo lives for one caller's run; nothing is kept between runs.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = workers
         self.z: list[MultiPoly] = []  # Z of each class
-        self._labelled: dict = {}  # (n, sorted edges) -> class
         self._members: dict = {}  # _shape key -> [(class, colours, adj)]
 
     def classify(self, h: Graph) -> int:
         """The index of ``h``'s class, computing its Z if it starts one."""
-        exact = (h.n, tuple(sorted(h.edges)))
-        cls = self._labelled.get(exact)
+        key, colour, adj = _shape(h)
+        reps = self._members.setdefault(key, [])
+        cls = next((c for c, rc, radj in reps
+                    if _vertex_map(colour, adj, rc, radj, _MATCH_NODES)
+                    is not None), None)
         if cls is None:
-            key, colour, adj = _shape(h)
-            reps = self._members.setdefault(key, [])
-            cls = next((c for c, rc, radj in reps
-                        if _vertex_map(colour, adj, rc, radj, _MATCH_NODES)
-                        is not None), None)
-            if cls is None:
-                cls = len(self.z)
-                self.z.append(z_poly(h, self.workers))
-                reps.append((cls, colour, adj))
-            self._labelled[exact] = cls
+            cls = len(self.z)
+            self.z.append(z_poly(h, self.workers))
+            reps.append((cls, colour, adj))
         return cls
 
     def z_of(self, h: Graph) -> MultiPoly:
@@ -333,21 +328,14 @@ class MinorMemo:
 
 # -- deviation measures -------------------------------------------------------
 
-def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1,
-                  ze: MultiPoly | None = None,
-                  memo: MinorMemo | None = None) -> MultiPoly:
+def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1) -> MultiPoly:
     """Z(G) - [Z(G-e) + v Z(G/e)]: the deletion-contraction defect.
 
-    Nonzero in general; always divisible by s*v*w*(w-1).  ``ze`` is Z(G)
-    when the caller has it; with a ``memo`` the minors' Z come from it.
+    Nonzero in general; always divisible by s*v*w*(w-1).
     """
-    if ze is None:
-        ze = z_poly(g, workers)
-    if memo is None:
-        memo = MinorMemo(workers)
-    zd = memo.z_of(g.delete_edge(edge_idx))
-    zc = memo.z_of(g.contract_edge(edge_idx))
-    return ze - (zd + V * zc)
+    zd = z_poly(g.delete_edge(edge_idx), workers)
+    zc = z_poly(g.contract_edge(edge_idx), workers)
+    return z_poly(g, workers) - (zd + V * zc)
 
 
 def has_dcr_factor(dev: MultiPoly) -> bool:
@@ -571,11 +559,11 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
     memo = MinorMemo(workers)
     dcr: dict[tuple[int, int], bool] = {}
     for idx in range(g.e):
-        pair = (memo.classify(g.delete_edge(idx)),
-                memo.classify(g.contract_edge(idx)))
-        if pair not in dcr:
-            dcr[pair] = has_dcr_factor(dcr_deviation(g, idx, workers, z, memo))
-        add(f"dcr-factor[e{idx}]", dcr[pair])
+        d = memo.classify(g.delete_edge(idx))
+        c = memo.classify(g.contract_edge(idx))
+        if (d, c) not in dcr:
+            dcr[d, c] = has_dcr_factor(z - (memo.z[d] + V * memo.z[c]))
+        add(f"dcr-factor[e{idx}]", dcr[d, c])
     if g.cycle_rank() == 0:
         add("forest-scaling", cycle_deviation(g, z).num.is_zero())
     return out

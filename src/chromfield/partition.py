@@ -24,7 +24,8 @@ vertex caps.
   (component-size multiset, joining edges, cycle edges) in 6-bit fields,
   so it refuses graphs with more than 63 edges; one binomial pass then
   gives the count of subgraphs per (multiset, edge count).  It is the only
-  engine with a parallel path.
+  engine with a parallel path: one task function starts every walk, the
+  serial walk being the one task with no forced prefix.
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
@@ -102,14 +103,14 @@ def _check_caps(g: Graph) -> None:
             f"{g.n} vertices exceeds the packing limit of {DEFAULT_VERTEX_CAP}")
 
 
-def _explore(n: int, edges, counts: dict, j0: int, parent: list, size: list,
-             key0: int, m0: int) -> None:
-    """DFS over the joining edges from index j0, accumulating leaf counters.
+def _explore(edges, j0: int, parent: list, size: list, key0: int,
+             m0: int) -> dict[int, int]:
+    """DFS over the joining edges from index j0, counting its leaves.
 
     An edge whose ends already share a root closes a cycle: choosing it or
     not leaves the partition unchanged (the loop rule of deletion-
     contraction), so it does not branch and only adds to the cycle count c.
-    Each leaf is then one spanning forest of the choices, and ``counts``
+    Each leaf is then one spanning forest of the choices, and the result
     maps (packed size-multiset << 12 | chosen edges m << 6 | c) ->
     multiplicity, m being m0 plus the joining edges chosen; ``_expand``
     turns the leaves into subgraph counts.  The union-find uses union by
@@ -120,6 +121,7 @@ def _explore(n: int, edges, counts: dict, j0: int, parent: list, size: list,
     vs = [e[1] for e in edges]
     end = len(edges)
     last = end - 1
+    counts: dict[int, int] = {}
     get = counts.get
 
     def rec(j: int, key: int, m: int, c: int) -> None:
@@ -159,6 +161,7 @@ def _explore(n: int, edges, counts: dict, j0: int, parent: list, size: list,
             j += 1
 
     rec(j0, key0, m0, 0)
+    return counts
 
 
 def _expand(leaves: dict[int, int]) -> dict[int, int]:
@@ -177,40 +180,22 @@ def _expand(leaves: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _replayed_state(n: int, edges, k: int, mask: int):
-    """Union-find state after forcing the first k edge decisions from mask bits."""
+def _walk_task(args) -> dict[int, int]:
+    """Forest leaves below the first k edge decisions, forced to the bits
+    of mask; k = 0 is the whole walk.  The prefix's partition comes from
+    ``Graph.components``, and every chosen prefix edge counts in m, a
+    cycle-closing one too."""
+    n, edges, k, mask = args
+    chosen = [edges[j] for j in range(k) if (mask >> j) & 1]
     parent = list(range(n))
     size = [1] * n
-    key = n << _CNT_BITS
-    m = 0
-    for j in range(k):
-        if not (mask >> j) & 1:
-            continue
-        m += 1
-        ru = edges[j][0]
-        while parent[ru] != ru:
-            ru = parent[ru]
-        rv = edges[j][1]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru == rv:
-            continue
-        a, b = size[ru], size[rv]
-        if a < b:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] = a + b
-        key += (1 << (_CNT_BITS * (a + b))) \
-            - (1 << (_CNT_BITS * a)) - (1 << (_CNT_BITS * b))
-    return parent, size, key, m
-
-
-def _prefix_chunk(args) -> dict:
-    n, edges, k, mask = args
-    parent, size, key, m = _replayed_state(n, edges, k, mask)
-    counts: dict[int, int] = {}
-    _explore(n, edges, counts, k, parent, size, key, m)
-    return counts
+    key = 0
+    for comp in Graph(n, tuple(chosen)).components():
+        for x in comp:
+            parent[x] = comp[0]
+        size[comp[0]] = len(comp)
+        key += 1 << (_CNT_BITS * len(comp))
+    return _explore(edges, k, parent, size, key, len(chosen))
 
 
 def _usable_cpus() -> int:
@@ -226,10 +211,11 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
 
     Keys pack the component-size multiset (6 bits of count per size) with
     the chosen-edge count in the low 6 bits, so graphs with more than 63
-    edges are refused whatever the edge cap says.  With ``workers > 1`` the
-    first few edge decisions are fixed per task, the tasks run on at most
-    as many processes as there are usable CPUs, and the task counters are
-    merged before ``_expand``.
+    edges are refused whatever the edge cap says.  Every walk runs through
+    ``_walk_task``: the serial walk is one task with no forced prefix; with
+    ``workers > 1`` each task forces the first few edge decisions, the
+    tasks run on at most as many processes as there are usable CPUs, and
+    their counters are merged before ``_expand``.
     """
     _check_caps(g)
     if g.e > _CNT_MASK:
@@ -242,14 +228,11 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
         k += 1
     procs = min(procs, 1 << k)
     if procs <= 1 or g.e < 6:
-        leaves: dict[int, int] = {}
-        _explore(n, edges, leaves, 0, list(range(n)), [1] * n,
-                 n << _CNT_BITS, 0)
-        return _expand(leaves)
+        return _expand(_walk_task((n, edges, 0, 0)))
     tasks = [(n, edges, k, mask) for mask in range(1 << k)]
     merged: dict[int, int] = {}
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        for part in pool.map(_prefix_chunk, tasks, chunksize=max(1, len(tasks) // (4 * procs))):
+        for part in pool.map(_walk_task, tasks, chunksize=max(1, len(tasks) // (4 * procs))):
             for pk, c in part.items():
                 merged[pk] = merged.get(pk, 0) + c
     return _expand(merged)

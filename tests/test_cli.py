@@ -210,6 +210,9 @@ def test_usage_error_exit_two():
     ["phi", "--q", "3", "--s", "1", "--w", "inf"],
     ["qc", "--s", "nan", "--w", "1"],
     ["qc", "--s", "1", "--w=-inf"],
+    ["compute", "--family", "circuit:3", "--workers", "0"],
+    ["compute", "--family", "circuit:3", "--workers", "-4"],
+    ["check", "--family", "circuit:3", "--workers", "-1"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -257,10 +260,12 @@ def test_family_and_strips_refuse_before_work(capsys, argv):
     assert err.startswith("error:") and "cap" in err
 
 
-@pytest.mark.parametrize("fix", ["x=1", "q=1", "s=1,x=2", "s=1,q=2", "=1"])
+@pytest.mark.parametrize("fix", ["x=1", "q=1", "s=1,x=2", "s=1,q=2", "=1",
+                                 "s=1,s=2"])
 def test_fix_name_not_a_free_variable_exit_two(capsys, fix):
     # a name outside q, s, v, w, or the variable being solved for, would
-    # fix nothing and yet be echoed back in "fixed"
+    # fix nothing and yet be echoed back in "fixed"; a name given twice
+    # would keep only its last value
     code, out, err = run_cli(capsys, ["zeros", "--family", "line:2",
                                       "--var", "q", "--fix", fix])
     assert code == 2 and out == ""

@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +103,40 @@ def test_subgraph_counts_match_brute_force(g):
     want = brute_subgraph_counts(g)
     assert subgraph_counts(g, workers=1) == want
     assert subgraph_counts(g, workers=2) == want
+
+
+@given(multigraphs())
+# forced prefixes: a loop, then a parallel pair whose second copy closes a
+# cycle; and a triangle closed by the first of a parallel pair
+@example(Graph.make(3, [(1, 1), (0, 1), (0, 1), (1, 2), (0, 2), (2, 2)]))
+@example(Graph.make(4, [(0, 1), (1, 2), (0, 2), (0, 2), (3, 3), (2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_split_matches_brute_force_on_any_machine(g):
+    # four usable CPUs are claimed and the pool runs inline, so the split
+    # is taken whatever this machine has: with 6 or more edges, 16 tasks
+    # each force the first 4 edge decisions (patched here, not by a
+    # fixture, since hypothesis rejects function-scoped ones)
+    split = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            split.append(len(tasks))
+            return map(fn, tasks)
+
+    with mock.patch.object(partition, "ProcessPoolExecutor", InlinePool), \
+            mock.patch.object(partition, "_usable_cpus", lambda: 4):
+        got = subgraph_counts(g, workers=4)
+    assert got == brute_subgraph_counts(g)
+    assert split == ([16] if g.e >= 6 else [])
 
 
 def test_cycle_closing_edges_do_not_branch():
