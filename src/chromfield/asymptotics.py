@@ -176,43 +176,35 @@ def qc_circuit(s: float, w: float) -> QcResult:
                     "s>2 with 1/(s-1) < w < 1")
 
 
-def qc_locate_unit_modulus(s: float, w: float, tol: float = 1e-12) -> float:
-    """Bisection for the q with |lam_1(q, s, w)| = 1 (s in {1,2} regime)."""
-    def h(q):
-        return abs(lam_ph(q, s, w)[0]) - 1
-
-    lo, hi = 1.0, 2 + s + 1.0
-    if h(lo) >= 0 or h(hi) <= 0:
-        raise PreconditionUnmetError("unit-modulus bracket failed")
+def _bisect(f, lo: float, hi: float, tol: float, what: str) -> float:
+    """Halve [lo, hi] around the sign change f(lo) < 0 < f(hi) until it is
+    at most tol wide and return its midpoint."""
+    if f(lo) >= 0 or f(hi) <= 0:
+        raise PreconditionUnmetError(f"{what} bracket failed")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if h(mid) < 0:
+        if not lo < mid < hi:
+            break  # adjacent floats: for large brackets their gap exceeds tol
+        if f(mid) < 0:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
 
 
+def qc_locate_unit_modulus(s: float, w: float, tol: float = 1e-12) -> float:
+    """Bisection for the q with |lam_1(q, s, w)| = 1 (s in {1,2} regime)."""
+    return _bisect(lambda q: abs(lam_ph(q, s, w)[0]) - 1, 1.0, 2 + s + 1.0,
+                   tol, "unit-modulus")
+
+
 def qc_locate_pair_degeneracy(s: float, w: float, tol: float = 1e-12) -> float:
     """Bisection for the sign change of A(q) = q-s-1+w(s-1) with the
     dominance check |lam_1| = |lam_2| > 1 at the located point."""
-    def a(q):
-        return q - s - 1 + w * (s - 1)
-
     # A(1) = (s-1)(w-1) < 0 and A(s+2) = 1 + w(s-1) > 0 for 0 < w < 1,
     # so this bracket spans the crossing for the whole w window
-    lo, hi = 1.0, s + 2.0
-    if a(lo) >= 0 or a(hi) <= 0:
-        raise PreconditionUnmetError("degeneracy bracket failed")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            break  # adjacent floats: for large s their gap exceeds tol
-        if a(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    q0 = (lo + hi) / 2
+    q0 = _bisect(lambda q: q - s - 1 + w * (s - 1), 1.0, s + 2.0, tol,
+                 "degeneracy")
     l1, l2 = lam_ph(q0, s, w)
     if abs(abs(l1) - abs(l2)) > 1e-6 * max(1.0, abs(l1)):
         raise PreconditionUnmetError("located point is not a modulus tie")

@@ -31,8 +31,6 @@ via p_0 = 2, p_1 = e1, p_k = e1*p_{k-1} - e2*p_{k-2}, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BadInputError, BadSizeError, NotExpressibleError
 from .poly import ONE, Q, S, V, W, MultiPoly
 
@@ -76,35 +74,17 @@ def z_star(n: int) -> MultiPoly:
     return total
 
 
-@dataclass
-class NewtonPair:
-    """Power sums p_k = lam1^k + lam2^k from elementary symmetric e1, e2."""
-
-    e1: MultiPoly
-    e2: MultiPoly
-    _cache: list = field(default_factory=list)
-
-    def power_sum(self, k: int) -> MultiPoly:
-        if not self._cache:
-            self._cache = [MultiPoly.const(2), self.e1]
-        while len(self._cache) <= k:
-            self._cache.append(self.e1 * self._cache[-1]
-                               - self.e2 * self._cache[-2])
-        return self._cache[k]
-
-
-def circuit_pair() -> NewtonPair:
-    return NewtonPair(e1=QT + V + W * (S + V), e2=V * W * (Q + V))
-
-
 def z_circuit(n: int) -> MultiPoly:
     if n < 1:
         raise BadSizeError("circuit family needs n >= 1")
     # The recurrence runs with the q slot holding qt, where e1 and e2 have
     # no minus signs and the power sums stay about half as long as in the
     # q basis; the sum is rewritten in q once, at the end.
-    pair = NewtonPair(e1=Q + V + W * (S + V), e2=V * W * (Q + S + V))
-    z_qt = pair.power_sum(n) + (S - 1) * (V * W) ** n + (Q - 1) * V ** n
+    e1, e2 = Q + V + W * (S + V), V * W * (Q + S + V)
+    p_prev, p = MultiPoly.const(2), e1
+    for _ in range(n - 1):
+        p_prev, p = p, e1 * p - e2 * p_prev
+    z_qt = p + (S - 1) * (V * W) ** n + (Q - 1) * V ** n
     return z_qt.substitute(q=QT)
 
 

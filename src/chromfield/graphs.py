@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadInputError, BadSizeError
@@ -133,17 +133,6 @@ class Graph:
             na, nb = relabel(a), relabel(b)
             new_edges.append((na, nb) if na <= nb else (nb, na))
         return Graph(self.n - 1, tuple(new_edges), self.name)
-
-    def simplify(self) -> "Graph":
-        """Drop loops and collapse parallel edges."""
-        seen = set()
-        out = []
-        for u, v in self.edges:
-            if u == v or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out.append((u, v))
-        return Graph(self.n, tuple(out), self.name)
 
     def add_isolated(self, k: int = 1) -> "Graph":
         return Graph(self.n + k, self.edges, self.name)

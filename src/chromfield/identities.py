@@ -35,8 +35,8 @@ from fractions import Fraction
 
 from .errors import PreconditionUnmetError
 from .graphs import Graph, complete_graph
-from .partition import (alpha_layers, beta_layers, chromatic_number, ph_poly,
-                        z_poly, zero_field_by_walk)
+from .partition import (chromatic_number, layers, ph_poly, z_poly,
+                        zero_field_by_walk)
 from .poly import ONE, Q, S, V, W, MultiPoly, RationalExpr, exact_div
 
 QT = Q - S
@@ -106,7 +106,7 @@ def beta_layer_report(g: Graph, z: MultiPoly | None = None,
     if zf is None:
         zf = zero_field_by_walk(g)
     n = g.n
-    beta = beta_layers(z, n)
+    beta = layers(z, "w", n)
     failures = []
     if beta[0] != zf.substitute(q=QT):
         failures.append("beta_0 != Z(G, q-s, v)")
@@ -133,7 +133,7 @@ def beta_chromatic_products(g: Graph, ph: MultiPoly,
     chromatic polynomial P(G, q) when the caller has it.
     """
     chi = chromatic_number(g, p)
-    beta = beta_layers(ph, g.n)
+    beta = layers(ph, "w", g.n)
     failures = []
     top = exact_div(beta[g.n], [("lin", "s", MultiPoly.const(j))
                                 for j in range(chi)])
@@ -152,7 +152,7 @@ def alpha_layer_report(g: Graph, ph: MultiPoly) -> LayerReport:
     s*(w-1) divides alpha_0 when n >= 1 (for n = 0, alpha_0 = alpha_n = 1).
     """
     n = g.n
-    alpha = alpha_layers(ph, n)
+    alpha = layers(ph, "q", n)
     distinct_edges = len(set(g.edges))
     failures = []
     if alpha[n] != ONE:
@@ -179,7 +179,7 @@ def alpha_sign_report(ph: MultiPoly, n: int, s_val, w_val) -> LayerReport:
     """
     if not (0 <= w_val < 1):
         raise PreconditionUnmetError("sign alternation needs 0 <= w < 1")
-    alpha = alpha_layers(ph, n)
+    alpha = layers(ph, "q", n)
     failures = []
     for j in range(n):
         val = alpha[n - j].evaluate(s=s_val, w=w_val)
@@ -191,7 +191,7 @@ def alpha_sign_report(ph: MultiPoly, n: int, s_val, w_val) -> LayerReport:
 
 def alpha_magnitude_profile(ph: MultiPoly, n: int, s_val, w_val) -> list:
     """|alpha_{n-j}| for j = 0..n, for unimodality inspection."""
-    alpha = alpha_layers(ph, n)
+    alpha = layers(ph, "q", n)
     return [abs(alpha[n - j].evaluate(s=s_val, w=w_val)) for j in range(n + 1)]
 
 
@@ -321,9 +321,6 @@ class MinorMemo:
             self.z.append(z_poly(h, self.workers))
             reps.append((cls, colour, adj))
         return cls
-
-    def z_of(self, h: Graph) -> MultiPoly:
-        return self.z[self.classify(h)]
 
 
 # -- deviation measures -------------------------------------------------------

@@ -93,7 +93,9 @@ def _oracle_cap() -> int:
     return _env_int("CHROMFIELD_ORACLE_CAP", DEFAULT_ORACLE_CAP)
 
 
-def _check_caps(g: Graph) -> None:
+def _check_input(g: Graph, workers: int) -> None:
+    if workers < 1:
+        raise BadInputError(f"workers wants a count >= 1, got {workers}")
     if g.e > _edge_cap():
         raise CapExceededError(
             f"{g.e} edges exceeds the subgraph-expansion cap of {_edge_cap()} "
@@ -217,7 +219,7 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
     tasks run on at most as many processes as there are usable CPUs, and
     their counters are merged before ``_expand``.
     """
-    _check_caps(g)
+    _check_input(g, workers)
     if g.e > _CNT_MASK:
         raise CapExceededError(
             f"{g.e} edges exceeds the walk's packing limit of {_CNT_MASK}")
@@ -296,7 +298,7 @@ def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
     narrow vertex order, else the subgraph walk (``workers`` applies only
     to the walk).
     """
-    _check_caps(g)
+    _check_input(g, workers)
     steps = frontier.plan(g)
     if steps is not None:
         return _qt_to_z(frontier.transfer_z(g, steps))
@@ -366,24 +368,16 @@ def tutte_poly(g: Graph) -> MultiPoly:
 
 # -- layer decompositions -----------------------------------------------------
 
-def beta_layers(z: MultiPoly, n: int) -> list[MultiPoly]:
-    """Coefficients of w^0..w^n, so z = sum_j beta[j] * w^j.
+def layers(p: MultiPoly, name: str, n: int) -> list[MultiPoly]:
+    """Coefficients of name^0..name^n, so p = sum_j layers[j] * name^j.
 
-    Raises BadDecompositionError if z has w-degree above n.
+    The w-layers of Z are the beta's and the q-layers of Ph the alpha's.
+    Raises BadDecompositionError if p has degree above n in ``name``.
     """
-    if z.degree("w") > n:
+    if p.degree(name) > n:
         raise BadDecompositionError(
-            f"w-degree {z.degree('w')} exceeds vertex count {n}")
-    by = z.coeffs_in("w")
-    return [by.get(j, MultiPoly.zero()) for j in range(n + 1)]
-
-
-def alpha_layers(ph: MultiPoly, n: int) -> list[MultiPoly]:
-    """Coefficients of q^0..q^n of a weighted chromatic polynomial."""
-    if ph.degree("q") > n:
-        raise BadDecompositionError(
-            f"q-degree {ph.degree('q')} exceeds vertex count {n}")
-    by = ph.coeffs_in("q")
+            f"{name}-degree {p.degree(name)} exceeds vertex count {n}")
+    by = p.coeffs_in(name)
     return [by.get(j, MultiPoly.zero()) for j in range(n + 1)]
 
 

@@ -14,10 +14,9 @@ coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import NonIntegerResultError, NotExpressibleError
 
@@ -180,17 +179,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    def coeff(self, name: str, k: int) -> "MultiPoly":
-        """Coefficient of name**k, as a polynomial in the other variables."""
-        i = _IDX[name]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                ne = list(e)
-                ne[i] = 0
-                out[tuple(ne)] = c
-        return MultiPoly._trusted(out)
 
     def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
         """All coefficients keyed by exponent of the chosen variable."""
@@ -373,7 +361,6 @@ class MultiPoly:
         NotExpressibleError otherwise.
         """
         out = MultiPoly.zero()
-        s_slot = _IDX["s"]
         for j, cj in self.coeffs_in("s").items():
             dj = cj
             for _ in range(j):
@@ -381,27 +368,15 @@ class MultiPoly:
                 if dj is None:
                     raise NotExpressibleError(
                         "polynomial is not expressible in t = s*(w-1)")
-            shifted = {}
-            for e, c in dj.terms.items():
-                ne = list(e)
-                ne[s_slot] += j
-                shifted[tuple(ne)] = c
-            out = out + MultiPoly._trusted(shifted)
+            out = out + dj * MultiPoly.monomial((0, j, 0, 0))
         return out
 
     def unrebase_t(self) -> "MultiPoly":
         """Inverse of rebase_t: interpret the s slot as t and expand t = s*(w-1)."""
         wm1 = MultiPoly.var("w") - 1
         out = MultiPoly.zero()
-        s_slot = _IDX["s"]
         for j, cj in self.coeffs_in("s").items():
-            part = cj * (wm1 ** j)
-            shifted = {}
-            for e, c in part.terms.items():
-                ne = list(e)
-                ne[s_slot] += j
-                shifted[tuple(ne)] = c
-            out = out + MultiPoly._trusted(shifted)
+            out = out + cj * (wm1 ** j) * MultiPoly.monomial((0, j, 0, 0))
         return out
 
     # -- serialization and display --------------------------------------------
@@ -422,14 +397,7 @@ class MultiPoly:
             terms[exp] = terms.get(exp, 0) + int(t["c"])
         return cls(terms)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "MultiPoly":
-        return cls.from_json_dict(json.loads(text))
-
-    def render(self, latex: bool = False, names: Iterable[str] = VARS) -> str:
+    def render(self, names: Iterable[str] = VARS) -> str:
         names = tuple(names)
         if not self.terms:
             return "0"
@@ -441,17 +409,15 @@ class MultiPoly:
                     continue
                 if e == 1:
                     factors.append(names[i])
-                elif latex:
-                    factors.append(f"{names[i]}^{{{e}}}")
                 else:
                     factors.append(f"{names[i]}^{e}")
             mag = abs(c)
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = (" " if latex else "*").join(factors)
+                body = "*".join(factors)
             else:
-                body = (" " if latex else "*").join([str(mag)] + factors)
+                body = "*".join([str(mag)] + factors)
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         if text.startswith("+ "):

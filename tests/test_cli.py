@@ -18,7 +18,7 @@ from conftest import time_limit
 from chromfield import zeros
 from chromfield.cli import STRIP_WIDTH_CAP, _load_graph, main
 from chromfield.errors import BadInputError
-from chromfield.families import family_ph, z_circuit
+from chromfield.families import family_ph, z_circuit, z_circuit_zero_field
 from chromfield.graphs import Graph, line_graph
 from chromfield.partition import DEFAULT_VERTEX_CAP, chromatic_poly, ph_poly
 from chromfield.poly import MultiPoly
@@ -56,6 +56,13 @@ def test_compute_tutte_mode(capsys):
                              "--mode", "tutte", "--text"])
     assert data["mode"] == "tutte"
     assert "x" in data["text"] and "q" not in data["text"]
+
+
+def test_compute_zero_field_mode(capsys):
+    data = run_json(capsys, ["compute", "--family", "circuit:4",
+                             "--mode", "zero-field"])
+    assert data["mode"] == "zero-field"
+    assert MultiPoly.from_json_dict(data["poly"]) == z_circuit_zero_field(4)
 
 
 def test_compute_workers_flag_same_output(capsys):
@@ -199,6 +206,7 @@ def test_usage_error_exit_two():
 @pytest.mark.parametrize("argv", [
     ["compute", "--family", "circuit:x"],
     ["compute", "--family", "foo:3"],
+    ["family", "--family", "bogus:3"],
     ["zeros", "--family", "line:2", "--var", "q", "--fix", "s=abc"],
     ["oracle", "--family", "line:2", "--q", "-1", "--s", "0"],
     ["oracle", "--family", "line:2", "--q", "2", "--s", "3"],

@@ -12,10 +12,9 @@ from math import comb
 import pytest
 
 from chromfield.errors import BadSizeError, NotExpressibleError
-from chromfield.families import (circuit_pair, falling_factorial, family_ph,
-                                 family_z, ph_complete, transmigration_check,
-                                 z_circuit, z_circuit_zero_field, z_line,
-                                 z_null, z_star)
+from chromfield.families import (falling_factorial, family_ph, family_z,
+                                 ph_complete, transmigration_check, z_circuit,
+                                 z_circuit_zero_field, z_line, z_null, z_star)
 from chromfield.graphs import (circuit_graph, complete_graph, line_graph,
                                make_family, null_graph, star_graph)
 from chromfield.partition import ph_poly, z_poly, zero_field_poly
@@ -110,15 +109,6 @@ def test_star3_coincides_with_line3():
 
 
 # -- circuit family ------------------------------------------------------------
-
-def test_circuit_newton_pair_recurrence():
-    pair = circuit_pair()
-    e1, e2 = pair.e1, pair.e2
-    p1, p2, p3 = pair.power_sum(1), pair.power_sum(2), pair.power_sum(3)
-    assert p1 == e1
-    assert p2 == e1 ** 2 - 2 * e2
-    assert p3 == e1 ** 3 - 3 * e1 * e2
-
 
 def test_circuit_family_matches_engine():
     for n in range(1, 7):

@@ -92,12 +92,6 @@ def test_delete_and_contract():
     assert again.contract_edge(0).e == 0
 
 
-def test_simplify_drops_loops_and_parallels():
-    g = Graph.make(3, [(0, 0), (0, 1), (0, 1), (1, 2)])
-    s = g.simplify()
-    assert s.n == 3 and s.e == 2 and not s.has_loop()
-
-
 def test_isolated_vertices_and_union():
     g = line_graph(2).add_isolated(2)
     assert g.n == 4 and g.e == 1

@@ -160,8 +160,8 @@ def test_memo_hit_needs_a_vertex_map():
     assert z_poly(K33) != z_poly(PRISM)
     memo = MinorMemo()
     assert memo.classify(K33) != memo.classify(PRISM)
-    assert memo.z_of(K33) == z_poly(K33)
-    assert memo.z_of(PRISM) == z_poly(PRISM)
+    assert memo.z[memo.classify(K33)] == z_poly(K33)
+    assert memo.z[memo.classify(PRISM)] == z_poly(PRISM)
     # a hit rests on a map that carries one edge multiset onto the other
     swap = [0, 1, 3, 2, 4, 5]
     moved = Graph.make(6, [(swap[u], swap[v]) for u, v in K33.edges])
@@ -195,8 +195,8 @@ def test_memo_z_is_z_of_each_minor(pair):
     for idx in range(g.e):
         for minor in (Graph.delete_edge, Graph.contract_edge):
             a, b = minor(g, idx), minor(moved, idx)
-            assert memo.z_of(a) == z_poly(a)
-            assert memo.z_of(b) == z_poly(b)
+            assert memo.z[memo.classify(a)] == z_poly(a)
+            assert memo.z[memo.classify(b)] == z_poly(b)
             # six vertices never exhaust the search budget, so the
             # relabeled copy always joins its original's class
             assert memo.classify(a) == memo.classify(b)

@@ -18,18 +18,18 @@ from hypothesis import strategies as st
 
 from conftest import time_limit
 from chromfield import frontier, partition
-from chromfield.errors import (BadDecompositionError, CapExceededError,
-                               LoopyGraphError)
+from chromfield.errors import (BadDecompositionError, BadInputError,
+                               CapExceededError, LoopyGraphError)
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                enumerate_spanning_subgraphs, grid_graph,
                                line_graph, make_family, null_graph,
                                square_with_diagonal, star_graph)
-from chromfield.partition import (DEFAULT_VERTEX_CAP, alpha_layers,
-                                  beta_layers, chromatic_number,
-                                  chromatic_poly, oracle_count_table,
+from chromfield.partition import (DEFAULT_VERTEX_CAP, chromatic_number,
+                                  chromatic_poly, layers, oracle_count_table,
                                   oracle_ph, oracle_z, ph_poly, subgraph_counts,
                                   tutte_poly, z_poly, zero_field_by_walk,
                                   zero_field_poly)
+from chromfield.identities import identity_suite
 from chromfield.poly import ONE, Q, S, V, W, MultiPoly
 
 QT = Q - S
@@ -67,6 +67,15 @@ def test_subgraph_counts_partition_the_power_set():
 def test_parallel_split_gives_identical_polynomial():
     g = complete_graph(4)
     assert z_poly(g, workers=3) == z_poly(g, workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("fn", [z_poly, subgraph_counts, identity_suite])
+def test_worker_count_below_one_is_refused(fn, workers):
+    # C4 is narrow, so z_poly would take the frontier engine and never
+    # reach the walk's own check
+    with pytest.raises(BadInputError, match="workers"):
+        fn(circuit_graph(4), workers)
 
 
 # -- the spanning-forest walk --------------------------------------------------
@@ -304,7 +313,7 @@ def test_engine_vs_oracle_on_random_graphs(g, q):
 def test_beta_layers_reassemble():
     g = square_with_diagonal()
     z = z_poly(g)
-    beta = beta_layers(z, g.n)
+    beta = layers(z, "w", g.n)
     assert len(beta) == g.n + 1
     rebuilt = MultiPoly.zero()
     for j, layer in enumerate(beta):
@@ -315,7 +324,7 @@ def test_beta_layers_reassemble():
 def test_alpha_layers_reassemble_and_are_monic():
     g = circuit_graph(4)
     ph = ph_poly(g)
-    alpha = alpha_layers(ph, g.n)
+    alpha = layers(ph, "q", g.n)
     rebuilt = MultiPoly.zero()
     for j, layer in enumerate(alpha):
         rebuilt = rebuilt + layer * Q ** j
@@ -325,7 +334,7 @@ def test_alpha_layers_reassemble_and_are_monic():
 
 def test_layer_extraction_rejects_degree_overflow():
     with pytest.raises(BadDecompositionError):
-        beta_layers(W ** 3, 2)
+        layers(W ** 3, "w", 2)
 
 
 # -- classical specializations -------------------------------------------------

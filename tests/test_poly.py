@@ -1,5 +1,6 @@
 """Exact sparse-polynomial arithmetic over (q, s, v, w)."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -121,7 +122,7 @@ def test_coefficient_slices_reassemble():
     for k, layer in p.coeffs_in("w").items():
         rebuilt = rebuilt + layer * W ** k
     assert rebuilt == p
-    assert p.coeff("w", 3) == S ** 3
+    assert p.coeffs_in("w")[3] == S ** 3
 
 
 @pytest.mark.parametrize("exp", [(-1, 0, 0, 0), (1, 2, 3), (0, 1.5, 0, 0)])
@@ -134,8 +135,8 @@ def test_constructor_rejects_bad_exponents(exp):
 def test_own_results_are_canonical(a, name, k):
     # results built without re-validation: no zero coefficient, and the
     # same polynomial the validating constructor makes of their terms
-    results = [a.coeff(name, k), a.reflect(name, 3 + k),
-               a.substitute(**{name: k}), a.substitute(**{name: Q - 1}),
+    results = [a.reflect(name, 3 + k), a.substitute(**{name: k}),
+               a.substitute(**{name: Q - 1}),
                a * (W - 1), (a * (W - 1)).div_linear("w", 1),
                (a * V ** k).shift_down("v", k), a.unrebase_t().rebase_t(),
                *a.coeffs_in(name).values()]
@@ -188,12 +189,12 @@ def test_field_shorthand_basis_round_trip():
 @given(polys)
 @settings(max_examples=40)
 def test_json_round_trip(a):
-    assert MultiPoly.loads(a.dumps()) == a
+    assert MultiPoly.from_json_dict(json.loads(json.dumps(a.to_json_dict()))) == a
 
 
 def test_json_preserves_big_coefficients():
     p = MultiPoly.const(10 ** 40) * Q - 1
-    assert MultiPoly.loads(p.dumps()) == p
+    assert MultiPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 def test_render_orders_terms():

@@ -14,6 +14,7 @@ import pytest
 from chromfield.errors import DegenerateDenominatorError, NoConvergenceError
 from chromfield.graphs import circuit_graph, line_graph
 from chromfield.partition import ph_poly, z_poly
+from chromfield.poly import S, W
 from chromfield.zeros import (durand_kerner, l1_q_zero, l1_s_zero, l1_w_zero,
                               l2_q_zeros, l2_s_zeros, l2_s_zeros_near_w1,
                               l2_v_zero, l2_w_zero_bounded_at_minus_v,
@@ -104,6 +105,17 @@ def test_two_site_q_roots_at_discriminant_zero(z2):
     sl = zeros_in(z2, "q", {"s": 1.0, "v": -1.0, "w": 0.5})
     assert match_roots(sl.roots, [1.0, 1.0])
     assert match_roots(sl.roots, l2_q_zeros(1.0, -1.0, 0.5))
+
+
+def test_drop_tol_trims_a_vanishing_top_coefficient():
+    # at s = 1e-15 the w^2 coefficient of s*w^2 + w + 1 sits on s = 0
+    p = S * W ** 2 + W + 1
+    sl = zeros_in(p, "w", {"s": 1e-15}, drop_tol=1e-12)
+    assert (sl.nominal_degree, sl.actual_degree) == (2, 1)
+    assert match_roots(sl.roots, [-1.0])
+    sl = zeros_in(p, "w", {"s": 1e-15})
+    assert (sl.nominal_degree, sl.actual_degree) == (2, 2)
+    assert len(sl.roots) == 2
 
 
 def test_two_site_s_roots(z2):
