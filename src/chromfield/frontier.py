@@ -16,8 +16,13 @@ per vertex as it enters, the s when the block closes).  A chosen edge
 between blocks of different labels yields no term and is dropped; a
 block's factor is applied when its last frontier vertex retires.
 
-Coefficients are exact ints on monomials qt^a s^b v^c w^d, qt = q - s,
-each monomial packed into one int with fields as wide as max(n, e) needs.
+A state's polynomial in qt = q - s, s, v and w is a dict from packed
+(qt, s, v) exponents -- one int, each field as wide as max(n, e) needs --
+to an int that packs the whole polynomial in w (Kronecker substitution):
+the coefficient of w^d sits at bit d * (n + e + 1).  A vertex entering a
+distinguished block multiplies by w with one shift of each such int, and
+merging two states adds ints; ``transfer_z`` unpacks the fields at the
+end.  Every coefficient is exact and non-negative.
 
 The plan is shared with the coloring oracle in ``partition``, which sweeps
 the colors of the frontier in place of its partitions.  ``sweep_order``
@@ -43,8 +48,11 @@ MAX_WIDTH = len(_LABELLED_BELL) - 1
 # grid: 1130 units of work, 4096 leaves, equal times), so 16 keeps the
 # engine to graphs where it should win about 4x, and small graphs on the
 # walk.  The walk visits only the spanning forests (at most 2^e), and the
-# engine still wins on the graphs this picks: 2.3x on sq2x5, 8x on sq3x4,
-# 40x on C20 (2 vCPUs).
+# engine still wins on the graphs this picks, planning included: 2.3x on
+# sq2x5, 8x on sq3x4, 90x on C20 (2 vCPUs; 1.1x, 5x and 32x on the same
+# host before w moved into the coefficient ints).  The factor is left as
+# it was on purpose, so that no graph changes engine: C10(1,2) must stay
+# on the walk that the parallel-scaling test times.
 _STATE_COST = 16
 
 Step = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -187,7 +195,12 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
     """Z in the qt = q - s basis, as {(qt, s, v, w) exponents: coefficient}."""
     bits = max(g.n, g.e, 1).bit_length()
     mask = (1 << bits) - 1
-    unit_s, unit_v, unit_w = 1 << bits, 1 << 2 * bits, 1 << 3 * bits
+    unit_s, unit_v = 1 << bits, 1 << 2 * bits
+    # w^d's coefficient sits at bit d * width of the packed coefficient.
+    # A field never carries into the next: every coefficient counts (edge
+    # subset, block label) configurations, at most 2^(n+e) < 2^width, and
+    # no coefficient in the qt basis is negative.
+    width = g.n + g.e + 1
     front: list[int] = []
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     for x, back, retire in steps:
@@ -195,7 +208,7 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
         while layer:
             st, poly = layer.popitem()
             b = 2 * (max(st) // 2 + 1) if st else 0
-            nxt[st + (b | 1,)] = _shift(poly, unit_w)
+            nxt[st + (b | 1,)] = {k: c << width for k, c in poly.items()}
             nxt[st + (b,)] = poly
         layer = nxt
         front.append(x)
@@ -229,5 +242,14 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
                 _put(nxt, _canon(rest), poly)
             layer = nxt
     (poly,) = layer.values()
-    return {(k & mask, (k >> bits) & mask, (k >> 2 * bits) & mask, k >> 3 * bits): c
-            for k, c in poly.items()}
+    field = (1 << width) - 1
+    out = {}
+    for k, c in poly.items():
+        a, se, ve = k & mask, (k >> bits) & mask, k >> 2 * bits
+        d = 0
+        while c:
+            if c & field:
+                out[a, se, ve, d] = c & field
+            c >>= width
+            d += 1
+    return out

@@ -284,10 +284,17 @@ def _qt_to_z(acc: dict[tuple[int, int, int, int], int]) -> MultiPoly:
     """Z from its (qt, s, v, w) coefficients: one binomial pass
     qt^a -> sum_r C(a, r) q^r (-s)^(a-r)."""
     out: dict[tuple[int, int, int, int], int] = {}
+    get = out.get
+    rows: dict[int, list[int]] = {}  # qt-degree a -> C(a, r) (-1)^(a-r)
     for (a, se, ve, we), c in acc.items():
-        for r in range(a + 1):
-            k = (r, se + a - r, ve, we)
-            out[k] = out.get(k, 0) + c * math.comb(a, r) * (-1) ** ((a - r) & 1)
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = [math.comb(a, r) * (-1) ** ((a - r) & 1)
+                             for r in range(a + 1)]
+        se += a
+        for r, b in enumerate(row):
+            k = (r, se - r, ve, we)
+            out[k] = get(k, 0) + c * b
     return MultiPoly._trusted(out)
 
 

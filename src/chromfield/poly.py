@@ -214,6 +214,8 @@ class MultiPoly:
                 raise ValueError(f"unknown variable {name!r}")
         if not bindings:
             return self
+        if all(isinstance(val, int) for val in bindings.values()):
+            return self._substitute_ints(bindings)
         poly_pows: dict[str, dict[int, MultiPoly]] = {
             n: {0: MultiPoly.one()} for n in bindings
         }
@@ -261,6 +263,27 @@ class MultiPoly:
             out[exp] = int(val)
         return MultiPoly._trusted(out)
 
+    def _substitute_ints(self, bindings: Mapping[str, int]) -> "MultiPoly":
+        """``substitute`` where every value is an int: one power table per
+        bound variable and one exponent tuple per term, with no Fraction
+        and no polynomial powers."""
+        bound = []
+        for i, name in enumerate(VARS):
+            if name in bindings:
+                val, row = bindings[name], [1]
+                for _ in range(self.degree(name)):
+                    row.append(row[-1] * val)
+                bound.append((i, row))
+        k0, k1, k2, k3 = (name not in bindings for name in VARS)
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for exp, c in self.terms.items():
+            for i, row in bound:
+                c *= row[exp[i]]
+            key = (exp[0] * k0, exp[1] * k1, exp[2] * k2, exp[3] * k3)
+            out[key] = get(key, 0) + c
+        return MultiPoly._trusted(out)
+
     def evaluate(self, **values):
         """Numeric evaluation; every variable present in the poly must be bound."""
         for name in VARS:
@@ -294,16 +317,28 @@ class MultiPoly:
         return MultiPoly._trusted(out)
 
     def univariate(self, name: str, fixed: Mapping[str, complex]) -> list[complex]:
-        """Ascending coefficient list in one variable, other variables numeric."""
+        """Ascending coefficient list in one variable, other variables numeric.
+
+        Each power sums its terms with ``math.fsum``, real and imaginary
+        parts apart, so the list does not depend on the order of the terms:
+        not on the vertex labels, nor on the engine that built the
+        polynomial.  A term too large for a float raises OverflowError, and
+        terms of opposite infinite sign raise ValueError.
+        """
         i = _IDX[name]
         deg = self.degree(name)
         if deg < 0:
             return []
-        coeffs = [0j] * (deg + 1)
-        for k, cp in self.coeffs_in(name).items():
-            coeffs[k] += complex(cp.evaluate(**{n: fixed.get(n, 0) for n in VARS
-                                                if n != name}))
-        return coeffs
+        vals = [fixed.get(n, 0) for n in VARS]
+        parts: list[list[complex]] = [[] for _ in range(deg + 1)]
+        for exp, c in self.terms.items():
+            term = c
+            for j, e in enumerate(exp):
+                if e and j != i:
+                    term = term * vals[j] ** e
+            parts[exp[i]].append(complex(term))
+        return [complex(math.fsum(z.real for z in p), math.fsum(z.imag for z in p))
+                for p in parts]
 
     # -- exact division -------------------------------------------------------
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDenominatorError, NoConvergenceError,
-                     PreconditionUnmetError)
+from .errors import (BadInputError, DegenerateDenominatorError,
+                     NoConvergenceError, PreconditionUnmetError)
 from .poly import MultiPoly
 
 _TOL = 1e-12
@@ -145,14 +145,16 @@ def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, complex],
              drop_tol: float = 0.0) -> ZeroSlice:
     """Zero slice of p in one variable with the others numerically fixed.
 
-    ``drop_tol`` treats top coefficients of relative magnitude below it as
-    vanished (useful when the fixed values are floats sitting on a locus
-    where the exact coefficient is zero).
+    ``drop_tol``, in [0, 1), treats top coefficients of relative magnitude
+    at or below it as vanished (useful when the fixed values are floats
+    sitting on a locus where the exact coefficient is zero).
     """
+    if not 0 <= drop_tol < 1:
+        raise BadInputError(f"drop_tol wants a number in [0, 1), got {drop_tol}")
     try:
         coeffs = p.univariate(variable, fixed)
         finite = all(cmath.isfinite(c) for c in coeffs)
-    except OverflowError:  # a float power overflowed
+    except (OverflowError, ValueError):  # a float overflowed, or inf met -inf
         finite = False
     if not finite:
         raise PreconditionUnmetError(

@@ -221,6 +221,9 @@ def test_usage_error_exit_two():
     ["compute", "--family", "circuit:3", "--workers", "0"],
     ["compute", "--family", "circuit:3", "--workers", "-4"],
     ["check", "--family", "circuit:3", "--workers", "-1"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "5"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "-1"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "nan"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

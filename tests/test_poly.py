@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromfield.errors import NonIntegerResultError
@@ -92,6 +92,8 @@ def test_substitution_with_polynomial_values():
 @given(polys, st.dictionaries(st.sampled_from(VARS), st.integers(-3, 3), min_size=1),
        st.dictionaries(st.sampled_from(VARS), polys, max_size=1))
 @settings(max_examples=40)
+@example(a=MultiPoly({(2, 1, 3, 0): 5, (0, 2, 1, 2): -7, (1, 0, 0, 3): 2, (0, 0, 2, 0): 4}),
+         ints={"v": -1, "s": 2}, polys_in={})
 def test_int_substitution_matches_fraction_path(a, ints, polys_in):
     ints = {k: c for k, c in ints.items() if k not in polys_in}
     got = a.substitute(**ints, **polys_in)
@@ -162,6 +164,10 @@ def test_linear_division_exact_and_refused():
     # divisor with a polynomial shift: (q - s) | (q^2 - s^2)
     quot = (Q ** 2 - S ** 2).div_linear("q", S)
     assert quot == Q + S
+    # degree 0 in the variable and nonzero: never divisible, so never its
+    # own quotient ("(q - s) divides beta_j" relies on this)
+    assert MultiPoly.const(3).div_linear("q", 1) is None
+    assert (S + 1).div_linear("q", S) is None
 
 
 def test_monomial_shift_down():

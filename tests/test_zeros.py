@@ -8,13 +8,17 @@ except where degeneracy handling is itself under test.
 """
 
 import cmath
+import random
 
 import pytest
 
-from chromfield.errors import DegenerateDenominatorError, NoConvergenceError
-from chromfield.graphs import circuit_graph, line_graph
-from chromfield.partition import ph_poly, z_poly
-from chromfield.poly import S, W
+from chromfield import frontier
+from chromfield.errors import (BadInputError, DegenerateDenominatorError,
+                               NoConvergenceError, PreconditionUnmetError)
+from chromfield.graphs import Graph, circuit_graph, line_graph
+from chromfield.partition import (_counts_to_z, _qt_to_z, ph_poly,
+                                  subgraph_counts, z_poly)
+from chromfield.poly import Q, S, V, W
 from chromfield.zeros import (durand_kerner, l1_q_zero, l1_s_zero, l1_w_zero,
                               l2_q_zeros, l2_s_zeros, l2_s_zeros_near_w1,
                               l2_v_zero, l2_w_zero_bounded_at_minus_v,
@@ -181,6 +185,62 @@ def test_v_root_pole_location():
     assert pole_s == pytest.approx(q / (1 - w ** 2))
     near = l2_v_zero(q, pole_s + 1e-8, w)
     assert abs(near) > 1e6
+
+
+def test_infinite_terms_of_opposite_sign_are_a_domain_error():
+    # q*s and -q*v each overflow to an infinity; fsum refuses inf - inf
+    p = Q * S * W - Q * V * W + 1
+    with pytest.raises(PreconditionUnmetError):
+        zeros_in(p, "w", {"q": 1e200, "s": 1e200, "v": 1e200})
+
+
+def test_drop_tol_outside_unit_interval_is_refused():
+    p = S * W ** 2 + W + 1
+    for bad in (5.0, 1.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(BadInputError):
+            zeros_in(p, "w", {"s": 1.0}, drop_tol=bad)
+
+
+# -- order independence --------------------------------------------------------
+
+def _circulant_9_12(rng=None):
+    edges = [(i, (i + j) % 9) for j in (1, 2) for i in range(9)]
+    if rng is None:
+        return Graph.make(9, edges)
+    perm = list(range(9))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return Graph.make(9, edges)
+
+
+SLICES = [("ph", "w", {"q": 3.3, "s": 1.1}), ("ph", "q", {"s": 1.1, "w": 0.7}),
+          ("z", "s", {"q": 2.9, "v": -0.6, "w": 1.3})]
+
+
+def test_slices_do_not_depend_on_vertex_labels():
+    # float sums in term order once gave three different root lists for
+    # four labelings of this graph
+    rng = random.Random(9)
+    graphs = [_circulant_9_12()] + [_circulant_9_12(rng) for _ in range(3)]
+    for mode, var, fixed in SLICES:
+        polys = [ph_poly(g) if mode == "ph" else z_poly(g) for g in graphs]
+        assert all(p == polys[0] for p in polys)
+        first = zeros_in(polys[0], var, fixed)
+        for p in polys[1:]:
+            sl = zeros_in(p, var, fixed)
+            assert (sl.coeffs, sl.roots) == (first.coeffs, first.roots), (var, fixed)
+
+
+def test_walk_and_frontier_give_identical_slices():
+    g = _circulant_9_12()
+    walk = _counts_to_z(subgraph_counts(g), g.n)
+    front = _qt_to_z(frontier.transfer_z(g, frontier.transfer_steps(g, range(g.n))))
+    assert walk == front and list(walk.terms) != list(front.terms)
+    for mode, var, fixed in SLICES:
+        a, b = ((z.substitute(v=-1) if mode == "ph" else z) for z in (walk, front))
+        sa, sb = zeros_in(a, var, fixed), zeros_in(b, var, fixed)
+        assert (sa.coeffs, sa.roots) == (sb.coeffs, sb.roots), (var, fixed)
 
 
 # -- cross-variable structure --------------------------------------------------
