@@ -21,10 +21,6 @@ class BadSizeError(ChromfieldError):
     """A family constructor was called with an out-of-range size."""
 
 
-class NonIntegerResultError(ChromfieldError):
-    """A substitution left rational coefficients that do not clear to integers."""
-
-
 class NotExpressibleError(ChromfieldError):
     """A polynomial cannot be rewritten in the requested variable basis."""
 

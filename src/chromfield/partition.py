@@ -455,32 +455,24 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
     return table
 
 
-def _pow_memo(base, k: int, cache: dict):
-    if k not in cache:
-        j = k - 1
-        while j not in cache:
-            j -= 1
-        p = cache[j]
-        for i in range(j + 1, k + 1):
-            p = p * base
-            cache[i] = p
-    return cache[k]
-
-
 def oracle_z(g: Graph, q: int, s: int, v, w):
     """Z by the coloring sum: sum N[m][ns] (1+v)^m w^ns.
 
     ``v`` and ``w`` may be ints, Fractions, floats, or MultiPoly, so the
     result is exact whenever the inputs are.
     """
+    table = oracle_count_table(g, q, s)
     y = 1 + v
-    ypow: dict = {0: y ** 0}
-    wpow: dict = {0: w ** 0}
+    ypow, wpow = [y ** 0], [w ** 0]
+    for _ in range(g.e):
+        ypow.append(ypow[-1] * y)
+    for _ in range(g.n):
+        wpow.append(wpow[-1] * w)
     total = 0
-    for m, row in enumerate(oracle_count_table(g, q, s)):
+    for m, row in enumerate(table):
         for ns, c in enumerate(row):
             if c:
-                total = total + c * _pow_memo(y, m, ypow) * _pow_memo(w, ns, wpow)
+                total = total + c * ypow[m] * wpow[ns]
     return total
 
 

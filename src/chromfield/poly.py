@@ -7,24 +7,21 @@ t = s*(w-1) and the shifted q-s are handled as views (``rebase_t`` and
 substitution), never as stored variables, so every polynomial has exactly one
 canonical form.
 
-Rationals appear only transiently: ``substitute`` accepts Fraction bindings
-and raises NonIntegerResultError if the result does not clear to integer
-coefficients.
+``substitute`` binds variables to ints or to polynomials only, so its result
+stays over Z; ``evaluate`` takes any numbers, Fractions and floats included.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .errors import NonIntegerResultError, NotExpressibleError
+from .errors import NotExpressibleError
 
 VARS = ("q", "s", "v", "w")
 _IDX = {name: i for i, name in enumerate(VARS)}
 
 Exponent = tuple[int, int, int, int]
-Scalar = Union[int, Fraction]
 
 
 def _term_sort_key(item):
@@ -204,103 +201,74 @@ class MultiPoly:
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, **bindings) -> "MultiPoly":
-        """Simultaneously substitute variables by ints, Fractions or polynomials.
+        """Simultaneously substitute variables by ints or polynomials.
 
-        Raises NonIntegerResultError if Fraction bindings leave non-integer
-        coefficients in the result.
+        Each bound variable gets one row of powers up to its degree.  A
+        term's int powers multiply its coefficient; its polynomial powers,
+        when some variable is bound to a polynomial, are multiplied out
+        into the exponents it keeps.  Any other binding raises TypeError.
         """
-        for name in bindings:
+        for name, val in bindings.items():
             if name not in _IDX:
                 raise ValueError(f"unknown variable {name!r}")
+            if not isinstance(val, (int, MultiPoly)):
+                raise TypeError(f"cannot substitute {type(val).__name__} "
+                                f"for {name}; bind an int or a MultiPoly")
         if not bindings:
             return self
-        if all(isinstance(val, int) for val in bindings.values()):
-            return self._substitute_ints(bindings)
-        poly_pows: dict[str, dict[int, MultiPoly]] = {
-            n: {0: MultiPoly.one()} for n in bindings
-        }
-        # int bindings keep the arithmetic in ints; any other scalar is
-        # made an exact Fraction
-        scalars = {n: v if isinstance(v, int) else Fraction(v)
-                   for n, v in bindings.items() if not isinstance(v, MultiPoly)}
-        acc: dict[Exponent, Scalar] = {}
-        for exp, c in self.terms.items():
-            scalar = c
-            poly_part: MultiPoly | None = None
-            kept = [0, 0, 0, 0]
-            for i, name in enumerate(VARS):
-                e = exp[i]
-                if e == 0:
-                    continue
-                if name not in bindings:
-                    kept[i] = e
-                    continue
-                if name in scalars:
-                    scalar *= scalars[name] ** e
-                    continue
-                val = bindings[name]
-                cache = poly_pows[name]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), e):
-                        p = p * val
-                        cache[max(cache) + 1] = p
-                pw = cache[e]
-                poly_part = pw if poly_part is None else poly_part * pw
-            base = tuple(kept)
-            if poly_part is None:
-                acc[base] = acc.get(base, 0) + scalar
-            else:
-                for pe, pc in poly_part.terms.items():
-                    key = (base[0] + pe[0], base[1] + pe[1],
-                           base[2] + pe[2], base[3] + pe[3])
-                    acc[key] = acc.get(key, 0) + scalar * pc
-        out: dict[Exponent, int] = {}
-        for exp, val in acc.items():
-            if val.denominator != 1:
-                raise NonIntegerResultError(
-                    f"coefficient {val} at exponent {exp} is not an integer")
-            out[exp] = int(val)
-        return MultiPoly._trusted(out)
-
-    def _substitute_ints(self, bindings: Mapping[str, int]) -> "MultiPoly":
-        """``substitute`` where every value is an int: one power table per
-        bound variable and one exponent tuple per term, with no Fraction
-        and no polynomial powers."""
-        bound = []
+        int_rows, poly_rows = [], []
         for i, name in enumerate(VARS):
             if name in bindings:
-                val, row = bindings[name], [1]
+                val = bindings[name]
+                poly = isinstance(val, MultiPoly)
+                row = [ONE if poly else 1]
                 for _ in range(self.degree(name)):
                     row.append(row[-1] * val)
-                bound.append((i, row))
+                (poly_rows if poly else int_rows).append((i, row))
         k0, k1, k2, k3 = (name not in bindings for name in VARS)
         out: dict[Exponent, int] = {}
         get = out.get
         for exp, c in self.terms.items():
-            for i, row in bound:
+            for i, row in int_rows:
                 c *= row[exp[i]]
             key = (exp[0] * k0, exp[1] * k1, exp[2] * k2, exp[3] * k3)
+            if poly_rows:
+                part = None
+                for i, row in poly_rows:
+                    if exp[i]:
+                        pw = row[exp[i]]
+                        part = pw if part is None else part * pw
+                if part is not None:
+                    for pe, pc in part.terms.items():
+                        pk = (key[0] + pe[0], key[1] + pe[1],
+                              key[2] + pe[2], key[3] + pe[3])
+                        out[pk] = get(pk, 0) + c * pc
+                    continue
             out[key] = get(key, 0) + c
         return MultiPoly._trusted(out)
+
+    def _scaled_terms(self, vals: list, skip: int = -1):
+        """Yield (exponent, term) per term: its coefficient times
+        vals[j] ** e for each slot j but ``skip``, in slot order.  Each
+        power is taken once per (slot, exponent)."""
+        pows: list[dict] = [{} for _ in VARS]
+        for exp, c in self.terms.items():
+            term = c
+            for j, e in enumerate(exp):
+                if e and j != skip:
+                    cache = pows[j]
+                    if e not in cache:
+                        cache[e] = vals[j] ** e
+                    term = term * cache[e]
+            yield exp, term
 
     def evaluate(self, **values):
         """Numeric evaluation; every variable present in the poly must be bound."""
         for name in VARS:
             if name not in values and self.degree(name) > 0:
                 raise ValueError(f"missing value for {name}")
-        pows = [dict() for _ in range(4)]
-        vals = [values.get(n, 0) for n in VARS]
         total = 0
-        for exp, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                cache = pows[i]
-                if e not in cache:
-                    cache[e] = vals[i] ** e
-                term = term * cache[e]
+        for _, term in self._scaled_terms([values.get(n, 0) for n in VARS]):
             total = total + term
         return total
 
@@ -329,13 +297,8 @@ class MultiPoly:
         deg = self.degree(name)
         if deg < 0:
             return []
-        vals = [fixed.get(n, 0) for n in VARS]
         parts: list[list[complex]] = [[] for _ in range(deg + 1)]
-        for exp, c in self.terms.items():
-            term = c
-            for j, e in enumerate(exp):
-                if e and j != i:
-                    term = term * vals[j] ** e
+        for exp, term in self._scaled_terms([fixed.get(n, 0) for n in VARS], i):
             parts[exp[i]].append(complex(term))
         return [complex(math.fsum(z.real for z in p), math.fsum(z.imag for z in p))
                 for p in parts]

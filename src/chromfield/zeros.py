@@ -4,7 +4,9 @@ Given the exact polynomial from the engine, a slice fixes all but one of
 (q, s, v, w) at numeric values and finds the complex zeros of the remaining
 univariate polynomial.  Root finding is simultaneous-iteration
 (Durand-Kerner) on the monic polynomial, polished by Newton steps, with a
-companion-matrix eigenvalue fallback when the iteration stalls.
+companion-matrix eigenvalue fallback when the iteration stalls or a step
+leaves the finite floats (at a large starting radius, Horner's rule can
+overflow on a slice whose coefficients are all finite).
 
 Top-degree coefficients of a slice can vanish (for example the w-degree-n
 coefficient of Z at s = 0): those roots move off to infinity and are
@@ -67,6 +69,8 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 200,
             if den == 0:
                 den = tol
             delta = _horner(monic, zk) / den
+            if not cmath.isfinite(delta):
+                raise NoConvergenceError("simultaneous iteration overflowed")
             roots[k] = zk - delta
             shift = max(shift, abs(delta))
         if shift < tol * max(1.0, radius):

@@ -68,6 +68,14 @@ def test_beta_layer_theorems(name, catalog, z_cache):
     assert rep.holds, rep.failures
 
 
+def test_beta_layer_report_sees_a_wrong_first_layer():
+    # one monomial q*w breaks s | beta_1, the lowest layer s must divide
+    z = z_poly(line_graph(3)) + MultiPoly.monomial((1, 0, 0, 1))
+    rep = beta_layer_report(line_graph(3), z)
+    assert not rep.holds
+    assert "s does not divide beta_1" in rep.failures
+
+
 @pytest.mark.parametrize("name", ["line4", "circuit5", "star6", "k4", "c4d"])
 def test_beta_chromatic_factorization(name, catalog, ph_cache):
     rep = beta_chromatic_products(catalog[name], ph_cache[name])
@@ -319,6 +327,22 @@ def test_bipartite_bounds_hold(g):
         for c in checks:
             if c.applicable:
                 assert c.holds, (g.name, q, s, w, c)
+
+
+@pytest.mark.parametrize("q, s, w, applicable", [
+    (4, 2, Fraction(1), {"uniform-color", "split-set"}),
+    (3, 2, Fraction(1, 2), {"split-set"}),
+    (4, 2, Fraction(1, 2), {"outside-set", "split-set"}),
+    (3, 1, Fraction(2), {"split-set"}),
+    (3, 2, Fraction(2), {"inside-set", "split-set"}),
+    (2, 2, Fraction(2), {"inside-set"}),
+])
+def test_bipartite_bound_windows_at_their_edges(q, s, w, applicable):
+    # each window's edge: w = 1 opens neither inside-set nor outside-set,
+    # outside-set wants q >= s + 2 and inside-set 2 <= s <= q
+    g = circuit_graph(4)
+    checks = bipartite_lower_bounds(g, q, s, w, oracle_ph(g, q, s, w))
+    assert {c.name for c in checks if c.applicable} == applicable
 
 
 def test_bounds_reject_odd_cycles():

@@ -187,6 +187,21 @@ def test_v_root_pole_location():
     assert abs(near) > 1e6
 
 
+def test_overflowing_iteration_falls_back_to_eigenvalues():
+    # the s-slice of Z(C19) at q=2.9, v=-0.6, w=1.3 has finite coefficients,
+    # but on its starting circle (radius about 1e17) Horner's rule overflows
+    # to nan; that step must send the roots to the companion-matrix route
+    coeffs = zeros_in(z_poly(circuit_graph(19)), "s",
+                      {"q": 2.9, "v": -0.6, "w": 1.3}).coeffs
+    with pytest.raises(NoConvergenceError):
+        durand_kerner(coeffs)
+    roots = poly_roots(coeffs)
+    assert len(roots) == 19 and all(cmath.isfinite(r) for r in roots)
+    for r in roots:
+        size = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+        assert abs(sum(c * r ** k for k, c in enumerate(coeffs))) <= 1e-12 * size
+
+
 def test_infinite_terms_of_opposite_sign_are_a_domain_error():
     # q*s and -q*v each overflow to an infinity; fsum refuses inf - inf
     p = Q * S * W - Q * V * W + 1
