@@ -161,18 +161,20 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _print_verdicts(verdicts: list[identities.IdentityVerdict]) -> int:
+    """Print an ``ok  `` or ``FAIL`` line per verdict, a failing one with
+    its detail, and return how many failed."""
+    for v in verdicts:
+        detail = f": {v.detail}" if v.detail and not v.holds else ""
+        print(f"{'ok  ' if v.holds else 'FAIL'} {v.name}{detail}")
+    return sum(not v.holds for v in verdicts)
+
+
 def _cmd_check(args) -> int:
     workers = _workers(args)
     g = _load_graph(args)
     verdicts = identities.identity_suite(g, workers)
-    bad = 0
-    for v in verdicts:
-        tag = "ok  " if v.holds else "FAIL"
-        line = f"{tag} {v.name}"
-        if v.detail and not v.holds:
-            line += f": {v.detail}"
-        print(line)
-        bad += 0 if v.holds else 1
+    bad = _print_verdicts(verdicts)
     print(f"{len(verdicts) - bad}/{len(verdicts)} identities hold")
     return 1 if bad else 0
 
@@ -180,21 +182,23 @@ def _cmd_check(args) -> int:
 def _cmd_strips(args) -> int:
     if args.ly < 1:
         raise BadInputError(f"--ly wants a strip width >= 1, got {args.ly}")
+    if args.growth_s < 0:
+        raise BadInputError(
+            f"--growth-s wants an s >= 1, or 0 for none, got {args.growth_s}")
     if args.ly > STRIP_WIDTH_CAP:
         raise CapExceededError(
             f"--ly {args.ly} exceeds the strip width cap of {STRIP_WIDTH_CAP}")
-    reports = {
-        "rows": strips.verify_row_structure(args.ly),
-        "sums": strips.verify_sum_identities(args.ly),
-        "totals": strips.verify_totals(args.ly),
+    zh, ph = strips.zh_count_rows(args.ly), strips.ph_count_rows(args.ly)
+    checks = {
+        "rows": strips.verify_row_structure(zh, ph),
+        "sums": strips.verify_sum_identities(zh, ph),
+        "totals": strips.verify_totals(zh, ph),
         "coeffs": strips.verify_c_values(),
     }
-    bad = 0
-    for name, rep in reports.items():
-        tag = "ok  " if rep.holds else "FAIL"
-        print(f"{tag} strips-{name}" + ("" if rep.holds
-                                        else ": " + "; ".join(rep.failures)))
-        bad += 0 if rep.holds else 1
+    bad = _print_verdicts([
+        identities.IdentityVerdict(f"strips-{name}", not failures,
+                                   "; ".join(failures))
+        for name, failures in checks.items()])
     if args.growth_s:
         for kind in ("zh", "ph"):
             rep = strips.growth_report(kind, args.growth_s, args.ly + 4)
@@ -338,8 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Write ``oracle --v -1/3`` as ``--v=-1/3``.  argparse reads a word
+    that starts with '-' as an option unless it is shaped like -1 or -0.5,
+    so a negative fraction given to --v or --w as its own word would be
+    refused as a missing value."""
+    out = list(argv)
+    if out[:1] == ["oracle"]:
+        for i in range(len(out) - 2, 0, -1):
+            if out[i] in ("--v", "--w") and re.match(r"-[\d.]", out[i + 1]):
+                out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.fn(args)
     except BadInputError as exc:

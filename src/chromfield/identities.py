@@ -1,8 +1,14 @@
 """Structural identities of the field-weighted partition sum.
 
-Everything here takes exact polynomials from the subgraph engine and checks
-an algebraic statement, returning either the deviation itself (zero when the
-identity holds) or a boolean verdict.  The main groups are:
+Each single-graph check takes the exact polynomials of G that it checks
+(Z, the zero-field sum, Ph, the chromatic polynomial) as arguments and
+computes none of them; ``identity_suite`` computes them once and hands
+them on.  A check returns the deviation itself (zero when the identity
+holds), a boolean verdict, or the list of statements that fail (empty when
+all hold).  Checks that compare G with other graphs compute the other
+graphs' polynomials: ``multi_edge_invariance`` computes Ph of G's
+reduction, and ``dcr_deviation``, ``kit_deviation`` and the equivalence
+checks compute every polynomial they compare.  The main groups are:
 
 * the reflection symmetry Z(G,q,s,v,w) = w^n Z(G,q,q-s,v,1/w) and the four
   reductions to zero-field sums (w=1, w=0, s=0, s=q);
@@ -49,18 +55,14 @@ def symmetry_deviation(z: MultiPoly, n: int) -> MultiPoly:
     return z - z.substitute(s=QT).reflect("w", n)
 
 
-def reduction_deviations(g: Graph, z: MultiPoly | None = None,
-                         zf: MultiPoly | None = None) -> dict[str, MultiPoly]:
+def reduction_deviations(g: Graph, z: MultiPoly,
+                         zf: MultiPoly) -> dict[str, MultiPoly]:
     """The four slices of Z that collapse to zero-field sums.
 
     w=1 and s=0 give Z(G,q,v); w=0 gives Z(G,q-s,v); s=q gives w^n Z(G,q,v).
-    ``zf`` is Z(G,q,v) when the caller has it; by default it comes from
-    the walk, so the s=0 line does not compare Z with its own slice.
+    ``zf`` is Z(G,q,v); taken from the walk rather than sliced from ``z``,
+    the s=0 line does not compare Z with its own slice.
     """
-    if z is None:
-        z = z_poly(g)
-    if zf is None:
-        zf = zero_field_by_walk(g)
     return {
         "w=1": z.substitute(w=1) - zf,
         "s=0": z.substitute(s=0) - zf,
@@ -69,14 +71,12 @@ def reduction_deviations(g: Graph, z: MultiPoly | None = None,
     }
 
 
-def one_color_values(g: Graph, z: MultiPoly | None = None) -> dict[str, MultiPoly]:
+def one_color_values(g: Graph, z: MultiPoly) -> dict[str, MultiPoly]:
     """Deviations of Z at q=1 from the closed forms (1+v)^e and (1+v)^e w^n.
 
     With a single color every subgraph contributes v^{e'} (all component
     factors are 1 at s=0, and w^{n} at s=1).
     """
-    if z is None:
-        z = z_poly(g)
     y_e = (ONE + V) ** g.e
     return {
         "q=1,s=0": z.substitute(q=1, s=0) - y_e,
@@ -86,25 +86,14 @@ def one_color_values(g: Graph, z: MultiPoly | None = None) -> dict[str, MultiPol
 
 # -- layer theorems -----------------------------------------------------------
 
-@dataclass
-class LayerReport:
-    holds: bool
-    failures: list[str]
-
-
-def beta_layer_report(g: Graph, z: MultiPoly | None = None,
-                      zf: MultiPoly | None = None) -> LayerReport:
+def beta_layer_report(g: Graph, z: MultiPoly, zf: MultiPoly) -> list[str]:
     """w-layer structure of Z: endpoints, reflection pairing, divisibility.
 
     beta_0 = Z(G, q-s, v); beta_n = Z(G, s, v) (q-free);
     beta_j(q,s,v) = beta_{n-j}(q, q-s, v);
     (q-s) | beta_j for j < n and s | beta_j for j > 0.
-    ``zf`` is Z(G,q,v) when the caller has it, by default from the walk.
+    ``zf`` is Z(G,q,v).  Returns the statements that fail.
     """
-    if z is None:
-        z = z_poly(g)
-    if zf is None:
-        zf = zero_field_by_walk(g)
     n = g.n
     beta = layers(z, "w", n)
     failures = []
@@ -121,16 +110,16 @@ def beta_layer_report(g: Graph, z: MultiPoly | None = None,
             failures.append(f"(q-s) does not divide beta_{j}")
         if j >= 1 and beta[j].shift_down("s") is None:
             failures.append(f"s does not divide beta_{j}")
-    return LayerReport(not failures, failures)
+    return failures
 
 
 def beta_chromatic_products(g: Graph, ph: MultiPoly,
-                            p: MultiPoly | None = None) -> LayerReport:
+                            p: MultiPoly) -> list[str]:
     """At v=-1 the extreme w-layers carry full falling-factorial factors:
 
     prod_{j<chi} (s - j) divides beta_n and prod_{j<chi} (q - s - j)
-    divides beta_0, where chi is the chromatic number.  ``p`` is the
-    chromatic polynomial P(G, q) when the caller has it.
+    divides beta_0, where chi is the chromatic number, read from the
+    chromatic polynomial ``p`` = P(G, q).  Returns the statements that fail.
     """
     chi = chromatic_number(g, p)
     beta = layers(ph, "w", g.n)
@@ -142,10 +131,10 @@ def beta_chromatic_products(g: Graph, ph: MultiPoly,
     bottom = exact_div(beta[0], [("lin", "q", S + j) for j in range(chi)])
     if bottom is None:
         failures.append(f"prod_(j<{chi}) (q-s-j) does not divide beta_0")
-    return LayerReport(not failures, failures)
+    return failures
 
 
-def alpha_layer_report(g: Graph, ph: MultiPoly) -> LayerReport:
+def alpha_layer_report(g: Graph, ph: MultiPoly) -> list[str]:
     """q-layer structure of Ph: monic top, explicit subtop, t | alpha_0.
 
     alpha_n = 1; alpha_{n-1} = n*s*(w-1) - (#distinct edges); and
@@ -162,7 +151,7 @@ def alpha_layer_report(g: Graph, ph: MultiPoly) -> LayerReport:
     a0 = alpha[0].shift_down("s")
     if n >= 1 and (a0 is None or a0.div_linear("w", 1) is None):
         failures.append("s*(w-1) does not divide alpha_0")
-    return LayerReport(not failures, failures)
+    return failures
 
 
 def z_line_subtop(z: MultiPoly, n: int) -> bool:
@@ -171,7 +160,7 @@ def z_line_subtop(z: MultiPoly, n: int) -> bool:
     return alpha == n * S * (W - 1) + (n - 1) * V
 
 
-def alpha_sign_report(ph: MultiPoly, n: int, s_val, w_val) -> LayerReport:
+def alpha_sign_report(ph: MultiPoly, n: int, s_val, w_val) -> list[str]:
     """Strict sign alternation sgn(alpha_{n-j}) = (-1)^j for 0 <= j <= n-1.
 
     Holds for connected graphs when 0 <= w < 1; evaluate with Fraction
@@ -186,7 +175,7 @@ def alpha_sign_report(ph: MultiPoly, n: int, s_val, w_val) -> LayerReport:
         want = -1 if j % 2 else 1
         if (val > 0) - (val < 0) != want:
             failures.append(f"alpha_(n-{j}) = {val} has sign != {want}")
-    return LayerReport(not failures, failures)
+    return failures
 
 
 def alpha_magnitude_profile(ph: MultiPoly, n: int, s_val, w_val) -> list:
@@ -325,20 +314,18 @@ class MinorMemo:
 
 # -- deviation measures -------------------------------------------------------
 
-def dcr_deviation(g: Graph, edge_idx: int, workers: int = 1) -> MultiPoly:
+def dcr_deviation(g: Graph, edge_idx: int) -> MultiPoly:
     """Z(G) - [Z(G-e) + v Z(G/e)]: the deletion-contraction defect.
 
     Nonzero in general; always divisible by s*v*w*(w-1).
     """
-    zd = z_poly(g.delete_edge(edge_idx), workers)
-    zc = z_poly(g.contract_edge(edge_idx), workers)
-    return z_poly(g, workers) - (zd + V * zc)
+    zd = z_poly(g.delete_edge(edge_idx))
+    zc = z_poly(g.contract_edge(edge_idx))
+    return z_poly(g) - (zd + V * zc)
 
 
 def has_dcr_factor(dev: MultiPoly) -> bool:
     """True when s*v*w*(w-1) divides the deletion-contraction defect."""
-    if dev.is_zero():
-        return True
     return exact_div(dev, [("mono", "s"), ("mono", "v"), ("mono", "w"),
                            ("lin", "w", 1)]) is not None
 
@@ -349,8 +336,7 @@ def _induced(g: Graph, verts: list[int]) -> Graph:
     return Graph.make(len(verts), edges)
 
 
-def kit_deviation(g: Graph, part1: list[int], part2: list[int],
-                  ph: MultiPoly | None = None) -> RationalExpr:
+def kit_deviation(g: Graph, part1: list[int], part2: list[int]) -> RationalExpr:
     """Defect of the complete-separator quotient at v = -1.
 
     For G = G1 union G2 with G1 intersect G2 = K_m, the zero-field
@@ -373,8 +359,7 @@ def kit_deviation(g: Graph, part1: list[int], part2: list[int],
         if not ({u, v} <= set1 or {u, v} <= set2):
             raise PreconditionUnmetError(
                 f"edge {(u, v)} crosses the decomposition")
-    if ph is None:
-        ph = ph_poly(g)
+    ph = ph_poly(g)
     ph1 = ph_poly(_induced(g, sorted(set1)))
     ph2 = ph_poly(_induced(g, sorted(set2)))
     ph_sep = ph_poly(complete_graph(m)) if m else ONE
@@ -413,25 +398,22 @@ def cycle_scaled(z: MultiPoly, n: int) -> RationalExpr:
     return RationalExpr(num, MultiPoly.monomial((0, shift, 0, 0)))
 
 
-def cycle_deviation(g: Graph, z: MultiPoly | None = None) -> RationalExpr:
-    """Z(G,q,s,v,w) - s^n Z(G, q/s, 1, v/s, w); zero exactly on forests."""
-    if z is None:
-        z = z_poly(g)
-    scaled = cycle_scaled(z, g.n)
+def cycle_deviation(z: MultiPoly, n: int) -> RationalExpr:
+    """Z(G,q,s,v,w) - s^n Z(G, q/s, 1, v/s, w) for Z of an n-vertex graph;
+    zero exactly on forests."""
+    scaled = cycle_scaled(z, n)
     return RationalExpr(z * scaled.den - scaled.num, scaled.den)
 
 
-def multi_edge_invariance(g: Graph, ph: MultiPoly | None = None) -> bool:
+def multi_edge_invariance(g: Graph, ph: MultiPoly) -> bool:
     """Ph ignores edge multiplicities: Ph(G) = Ph(reduce(G)).
 
-    ``ph`` is Ph(G) when the caller has it; a graph without parallel edges
-    is its own reduction.
+    ``ph`` is Ph(G); a graph without parallel edges is its own reduction,
+    and only a graph with them computes Ph of its reduction.
     """
     reduced = Graph(g.n, tuple(dict.fromkeys(g.edges)), g.name)
     if reduced == g:
         return True
-    if ph is None:
-        ph = ph_poly(g)
     return ph == ph_poly(reduced)
 
 
@@ -448,8 +430,6 @@ def tutte_equivalent_difference(g: Graph, h: Graph) -> MultiPoly:
 
 
 def has_tutte_difference_factor(diff: MultiPoly) -> bool:
-    if diff.is_zero():
-        return True
     return exact_div(diff, [("mono", "s"), ("lin", "q", S), ("mono", "v"),
                             ("mono", "w"), ("lin", "w", 1)]) is not None
 
@@ -539,19 +519,20 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
     def add(name, holds, detail=""):
         out.append(IdentityVerdict(name, bool(holds), detail))
 
+    def add_failures(name, failures):
+        add(name, not failures, "; ".join(failures))
+
     add("reflection-symmetry", symmetry_deviation(z, g.n).is_zero())
     for name, dev in reduction_deviations(g, z, zf).items():
         add(f"reduction[{name}]", dev.is_zero())
     for name, dev in one_color_values(g, z).items():
         add(f"one-color[{name}]", dev.is_zero())
-    rep = beta_layer_report(g, z, zf)
-    add("beta-layers", rep.holds, "; ".join(rep.failures))
+    add_failures("beta-layers", beta_layer_report(g, z, zf))
     if not g.has_loop():
         ph = z.substitute(v=-1)
-        rep = beta_chromatic_products(g, ph, zf.substitute(v=-1))
-        add("beta-chromatic-products", rep.holds, "; ".join(rep.failures))
-        rep = alpha_layer_report(g, ph)
-        add("alpha-layers", rep.holds, "; ".join(rep.failures))
+        add_failures("beta-chromatic-products",
+                     beta_chromatic_products(g, ph, zf.substitute(v=-1)))
+        add_failures("alpha-layers", alpha_layer_report(g, ph))
         add("multi-edge-invariance", multi_edge_invariance(g, ph))
     memo = MinorMemo(workers)
     dcr: dict[tuple[int, int], bool] = {}
@@ -562,5 +543,5 @@ def identity_suite(g: Graph, workers: int = 1) -> list[IdentityVerdict]:
             dcr[d, c] = has_dcr_factor(z - (memo.z[d] + V * memo.z[c]))
         add(f"dcr-factor[e{idx}]", dcr[d, c])
     if g.cycle_rank() == 0:
-        add("forest-scaling", cycle_deviation(g, z).num.is_zero())
+        add("forest-scaling", cycle_deviation(z, g.n).num.is_zero())
     return out

@@ -29,6 +29,10 @@ N = sum_d n grow like (s+4)^Ly for Zh and (s+3)^Ly for Ph.
 Width 1 is the circuit graph: the d=0 block holds the two transfer
 eigenvalues plus s-1 copies of v*w, and the single d=1 term is lambda = v,
 matching the closed form in ``families.z_circuit``.
+
+The table checks take the rows they check, as built by ``zh_count_rows``
+and ``ph_count_rows``, and return the statements that fail (empty when all
+hold), so one pair of tables serves every check.
 """
 
 from __future__ import annotations
@@ -104,19 +108,12 @@ def ph_total_closed(ly: int) -> MultiPoly:
     return (zh_total_closed(ly) + zh_total_closed(ly - 1)).substitute(s=S - 1)
 
 
-@dataclass
-class StripCheck:
-    holds: bool
-    failures: list[str]
-
-
-def verify_row_structure(ly_max: int) -> StripCheck:
+def verify_row_structure(zh: list[dict[int, MultiPoly]],
+                         ph: list[dict[int, MultiPoly]]) -> list[str]:
     """Endpoint formulas: n(Ly, Ly) = 1; n_Zh(Ly, Ly-1) = (s+1)Ly + (Ly-1)
     and n_Ph(Ly, Ly-1) = (s+1)Ly; plus the d-wise Ph-from-Zh relation."""
-    zh = zh_count_rows(ly_max)
-    ph = ph_count_rows(ly_max)
     failures = []
-    for ly in range(1, ly_max + 1):
+    for ly in range(1, len(zh)):
         if zh[ly][ly] != ONE or ph[ly][ly] != ONE:
             failures.append(f"n(Ly={ly}, d={ly}) != 1")
         if zh[ly][ly - 1] != (S + 1) * ly + (ly - 1):
@@ -129,18 +126,17 @@ def verify_row_structure(ly_max: int) -> StripCheck:
             if ph[ly][d] != shifted_sum[d].substitute(s=S - 1):
                 failures.append(
                     f"n_Ph(Ly={ly}, d={d}) != shifted Zh combination")
-    return StripCheck(not failures, failures)
+    return failures
 
 
-def verify_sum_identities(ly_max: int) -> StripCheck:
+def verify_sum_identities(zh: list[dict[int, MultiPoly]],
+                          ph: list[dict[int, MultiPoly]]) -> list[str]:
     """The weighted coefficient sums must reduce to state counts:
 
     sum_d c^(d)(q-s) n_Zh = q^Ly and sum_d c^(d)(q-s) n_Ph = q (q-1)^(Ly-1).
     """
-    zh = zh_count_rows(ly_max)
-    ph = ph_count_rows(ly_max)
     failures = []
-    for ly in range(1, ly_max + 1):
+    for ly in range(1, len(zh)):
         lhs = MultiPoly.zero()
         for d, mult in zh[ly].items():
             lhs = lhs + c_tilde(d) * mult
@@ -151,23 +147,22 @@ def verify_sum_identities(ly_max: int) -> StripCheck:
             lhs = lhs + c_tilde(d) * mult
         if lhs != Q * (Q - 1) ** (ly - 1):
             failures.append(f"Ph coefficient sum at Ly={ly} != q(q-1)^(Ly-1)")
-    return StripCheck(not failures, failures)
+    return failures
 
 
-def verify_totals(ly_max: int) -> StripCheck:
+def verify_totals(zh: list[dict[int, MultiPoly]],
+                  ph: list[dict[int, MultiPoly]]) -> list[str]:
     """Row totals against the closed binomial forms."""
-    zh = zh_count_rows(ly_max)
-    ph = ph_count_rows(ly_max)
     failures = []
-    for ly in range(1, ly_max + 1):
+    for ly in range(1, len(zh)):
         if row_total(zh[ly]) != zh_total_closed(ly):
             failures.append(f"N_Zh(Ly={ly}) != binomial closed form")
         if row_total(ph[ly]) != ph_total_closed(ly):
             failures.append(f"N_Ph(Ly={ly}) != shifted closed form")
-    return StripCheck(not failures, failures)
+    return failures
 
 
-def verify_c_values(d_max: int = 8) -> StripCheck:
+def verify_c_values(d_max: int = 8) -> list[str]:
     """c^(d)(0) = (-1)^d and c^(d)(1) cycles through 1, 0, -1 with period 3."""
     failures = []
     period = {0: 1, 1: 0, 2: -1}
@@ -176,7 +171,7 @@ def verify_c_values(d_max: int = 8) -> StripCheck:
             failures.append(f"c^({d})(0) != (-1)^{d}")
         if c_coeff(d, 1) != MultiPoly.const(period[d % 3]):
             failures.append(f"c^({d})(1) != {period[d % 3]}")
-    return StripCheck(not failures, failures)
+    return failures
 
 
 @dataclass

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
-from chromfield import zeros
+from chromfield import identities, strips, zeros
 from chromfield.cli import STRIP_WIDTH_CAP, _load_graph, main
 from chromfield.errors import BadInputError
 from chromfield.families import family_ph, z_circuit, z_circuit_zero_field
@@ -102,6 +102,15 @@ def test_oracle_fraction_weights(capsys):
     assert data["value"] == "1"
 
 
+def test_oracle_negative_fraction_as_its_own_word(capsys):
+    # argparse reads "-1/3" as an option unless it is joined to its flag
+    base = ["oracle", "--family", "circuit:3", "--q", "3", "--s", "1"]
+    apart = run_cli(capsys, base + ["--v", "-1/3", "--w", "-2/5"])
+    joined = run_cli(capsys, base + ["--v=-1/3", "--w=-2/5"])
+    assert apart == joined
+    assert apart[0] == 0 and json.loads(apart[1])["v"] == "-1/3"
+
+
 # -- graph input routes --------------------------------------------------------
 
 def test_graph_from_edge_list_file(tmp_path, capsys):
@@ -143,6 +152,32 @@ def test_strips_report(capsys):
     assert all(line.startswith("ok") for line in out.strip().splitlines())
     for name in ("rows", "sums", "totals", "coeffs"):
         assert f"strips-{name}" in out
+
+
+def test_failing_checks_print_fail_lines(capsys, monkeypatch):
+    monkeypatch.setattr(strips, "verify_totals",
+                        lambda zh, ph: ["N_Zh(Ly=2) != binomial closed form",
+                                        "N_Ph(Ly=3) != shifted closed form"])
+    code, out, err = run_cli(capsys, ["strips", "--ly", "3"])
+    assert code == 1
+    assert out.splitlines() == [
+        "ok   strips-rows", "ok   strips-sums",
+        "FAIL strips-totals: N_Zh(Ly=2) != binomial closed form; "
+        "N_Ph(Ly=3) != shifted closed form",
+        "ok   strips-coeffs"]
+
+    monkeypatch.setattr(identities, "alpha_layer_report",
+                        lambda g, ph: ["alpha_n != 1"])
+    monkeypatch.setattr(identities, "multi_edge_invariance",
+                        lambda g, ph: False)
+    code, out, err = run_cli(capsys, ["check", "--family", "circuit:4"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL alpha-layers: alpha_n != 1" in lines
+    assert "FAIL multi-edge-invariance" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 2
+    total = len(lines) - 1
+    assert lines[-1] == f"{total - 2}/{total} identities hold"
 
 
 def test_strips_growth_lines(capsys):
@@ -214,6 +249,7 @@ def test_usage_error_exit_two():
     ["oracle", "--family", "line:2", "--q", "2", "--s", "1", "--w", "1/0"],
     ["strips", "--ly", "0"],
     ["strips", "--ly", "-2", "--growth-s", "2"],
+    ["strips", "--ly", "3", "--growth-s", "-2"],
     ["phi", "--q", "nan", "--s", "1", "--w", "1"],
     ["phi", "--q", "3", "--s", "1", "--w", "inf"],
     ["qc", "--s", "nan", "--w", "1"],

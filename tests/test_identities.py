@@ -31,7 +31,8 @@ from chromfield.identities import (alpha_layer_report, alpha_magnitude_profile,
                                    multi_edge_invariance, one_color_values,
                                    reduction_deviations, symmetry_deviation,
                                    tutte_equivalent_difference, z_line_subtop)
-from chromfield.partition import oracle_ph, ph_poly, z_poly
+from chromfield.partition import (chromatic_poly, oracle_ph, ph_poly, z_poly,
+                                  zero_field_by_walk)
 from chromfield.poly import Q, S, V, W, MultiPoly, RationalExpr
 
 QT = Q - S
@@ -47,7 +48,8 @@ def test_reflection_symmetry(name, catalog, z_cache):
 
 @pytest.mark.parametrize("name", ["line3", "circuit4", "k4", "c4d"])
 def test_reductions_collapse(name, catalog, z_cache):
-    devs = reduction_deviations(catalog[name], z_cache[name])
+    g = catalog[name]
+    devs = reduction_deviations(g, z_cache[name], zero_field_by_walk(g))
     assert set(devs) == {"w=1", "s=0", "w=0", "s=q"}
     for slice_name, dev in devs.items():
         assert dev.is_zero(), slice_name
@@ -64,28 +66,30 @@ def test_one_color_closed_forms(name, catalog, z_cache):
 @pytest.mark.parametrize("name", ["line4", "circuit5", "star6", "k4", "c4d",
                                   "null4", "circuit2"])
 def test_beta_layer_theorems(name, catalog, z_cache):
-    rep = beta_layer_report(catalog[name], z_cache[name])
-    assert rep.holds, rep.failures
+    g = catalog[name]
+    failures = beta_layer_report(g, z_cache[name], zero_field_by_walk(g))
+    assert not failures, failures
 
 
 def test_beta_layer_report_sees_a_wrong_first_layer():
     # one monomial q*w breaks s | beta_1, the lowest layer s must divide
     z = z_poly(line_graph(3)) + MultiPoly.monomial((1, 0, 0, 1))
-    rep = beta_layer_report(line_graph(3), z)
-    assert not rep.holds
-    assert "s does not divide beta_1" in rep.failures
+    failures = beta_layer_report(line_graph(3), z,
+                                 zero_field_by_walk(line_graph(3)))
+    assert "s does not divide beta_1" in failures
 
 
 @pytest.mark.parametrize("name", ["line4", "circuit5", "star6", "k4", "c4d"])
 def test_beta_chromatic_factorization(name, catalog, ph_cache):
-    rep = beta_chromatic_products(catalog[name], ph_cache[name])
-    assert rep.holds, rep.failures
+    g = catalog[name]
+    failures = beta_chromatic_products(g, ph_cache[name], chromatic_poly(g))
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("name", ["line4", "circuit5", "star6", "k4", "c4d"])
 def test_alpha_layer_theorems(name, catalog, ph_cache):
-    rep = alpha_layer_report(catalog[name], ph_cache[name])
-    assert rep.holds, rep.failures
+    failures = alpha_layer_report(catalog[name], ph_cache[name])
+    assert not failures, failures
 
 
 def test_line_subtop_layer(z_cache):
@@ -98,8 +102,8 @@ def test_alpha_sign_alternation_samples(catalog, ph_cache):
         g = catalog[name]
         for s_val, w_val in [(1, Fraction(1, 3)), (2, Fraction(9, 10)),
                              (0, Fraction(1, 2)), (3, Fraction(0))]:
-            rep = alpha_sign_report(ph_cache[name], g.n, s_val, w_val)
-            assert rep.holds, (name, s_val, w_val, rep.failures)
+            failures = alpha_sign_report(ph_cache[name], g.n, s_val, w_val)
+            assert not failures, (name, s_val, w_val, failures)
 
 
 def test_alpha_sign_outside_window_rejected(ph_cache):
@@ -280,8 +284,8 @@ def test_tutte_difference_requires_equivalence():
 
 def test_multi_edge_invariance():
     doubled = Graph.make(3, [(0, 1), (0, 1), (1, 2)])
-    assert multi_edge_invariance(doubled)
-    assert multi_edge_invariance(circuit_graph(2))
+    assert multi_edge_invariance(doubled, ph_poly(doubled))
+    assert multi_edge_invariance(circuit_graph(2), ph_poly(circuit_graph(2)))
 
 
 def test_chromatically_equivalent_pairs_vanish_at_one_color():
@@ -295,13 +299,13 @@ def test_chromatically_equivalent_pairs_vanish_at_one_color():
 
 @pytest.mark.parametrize("name", ["line4", "star5", "null3", "line6"])
 def test_forest_scaling_is_exact(name, catalog, z_cache):
-    dev = cycle_deviation(catalog[name], z_cache[name])
+    dev = cycle_deviation(z_cache[name], catalog[name].n)
     assert dev.num.is_zero()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_single_cycle_scaling_defect(n, z_cache):
-    dev = cycle_deviation(circuit_graph(n), z_cache[f"circuit{n}"])
+    dev = cycle_deviation(z_cache[f"circuit{n}"], n)
     expected = RationalExpr((S - 1) * (QT + S * W ** n) * V ** n, S)
     assert dev.equals(expected)
 
@@ -348,6 +352,77 @@ def test_bipartite_bound_windows_at_their_edges(q, s, w, applicable):
 def test_bounds_reject_odd_cycles():
     with pytest.raises(PreconditionUnmetError):
         bipartite_lower_bounds(circuit_graph(5), 3, 1, Fraction(1), Fraction(6))
+
+
+# -- negative controls ---------------------------------------------------------
+# The tests above hand every check a true polynomial, which satisfies every
+# theorem, so a check that stopped checking would still pass them.  Here
+# each check behind a verdict family of identity_suite gets a Z, zero-field
+# sum or Ph changed by one monomial and must report it.
+
+def test_reflection_symmetry_sees_one_monomial(z_cache):
+    # on three vertices q*w reflects to q*w^2, which is not added with it
+    assert not symmetry_deviation(z_cache["line3"] + Q * W, 3).is_zero()
+
+
+@pytest.mark.parametrize("changed", ["z", "zf"])
+def test_reductions_see_one_monomial(changed, catalog, z_cache):
+    g = catalog["circuit4"]
+    z, zf = z_cache["circuit4"], zero_field_by_walk(g)
+    devs = (reduction_deviations(g, z + Q, zf) if changed == "z"
+            else reduction_deviations(g, z, zf + Q))
+    assert [name for name, dev in devs.items() if dev.is_zero()] == []
+
+
+def test_one_color_values_see_one_monomial(catalog, z_cache):
+    devs = one_color_values(catalog["circuit4"], z_cache["circuit4"] + Q)
+    assert [name for name, dev in devs.items() if dev.is_zero()] == []
+
+
+def test_beta_layer_report_sees_a_wrong_zero_field_sum(catalog, z_cache):
+    g = catalog["circuit4"]
+    failures = beta_layer_report(g, z_cache["circuit4"],
+                                 zero_field_by_walk(g) + Q)
+    assert failures == ["beta_0 != Z(G, q-s, v)", "beta_n != Z(G, s, v)"]
+
+
+@pytest.mark.parametrize("extra, failure", [
+    (W ** 4, "prod_(j<4) (s-j) does not divide beta_n"),
+    (Q ** 4, "prod_(j<4) (q-s-j) does not divide beta_0"),
+])
+def test_beta_chromatic_products_see_one_monomial(extra, failure, catalog,
+                                                  ph_cache):
+    g = catalog["k4"]
+    assert beta_chromatic_products(g, ph_cache["k4"] + extra,
+                                   chromatic_poly(g)) == [failure]
+
+
+@pytest.mark.parametrize("extra, failure", [
+    (Q ** 4, "alpha_n != 1"),
+    (Q ** 3, "alpha_{n-1} != n*s*(w-1) - e(distinct)"),
+    (S, "s*(w-1) does not divide alpha_0"),
+])
+def test_alpha_layer_report_sees_one_monomial(extra, failure, catalog,
+                                              ph_cache):
+    assert alpha_layer_report(catalog["k4"], ph_cache["k4"] + extra) \
+        == [failure]
+
+
+def test_multi_edge_invariance_sees_one_monomial():
+    doubled = Graph.make(3, [(0, 1), (0, 1), (1, 2)])
+    assert not multi_edge_invariance(doubled, ph_poly(doubled) + Q)
+
+
+def test_dcr_factor_sees_one_monomial():
+    # the suite's defect, Z(G) - [Z(G-e) + v Z(G/e)], with q added to Z(G)
+    g = line_graph(3)
+    minors = z_poly(g.delete_edge(0)) + V * z_poly(g.contract_edge(0))
+    assert has_dcr_factor(z_poly(g) - minors)
+    assert not has_dcr_factor(z_poly(g) + Q - minors)
+
+
+def test_forest_scaling_sees_one_monomial(z_cache):
+    assert not cycle_deviation(z_cache["line4"] + Q, 4).num.is_zero()
 
 
 # -- bundled suite -------------------------------------------------------------

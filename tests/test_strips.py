@@ -77,23 +77,23 @@ def test_row_boundary_entries():
 # -- structural verifications --------------------------------------------------
 
 def test_row_structure_check():
-    rep = verify_row_structure(6)
-    assert rep.holds, rep.failures
+    failures = verify_row_structure(zh_count_rows(6), ph_count_rows(6))
+    assert not failures, failures
 
 
 def test_sum_identities_symbolic():
-    rep = verify_sum_identities(6)
-    assert rep.holds, rep.failures
+    failures = verify_sum_identities(zh_count_rows(6), ph_count_rows(6))
+    assert not failures, failures
 
 
 def test_totals_check():
-    rep = verify_totals(6)
-    assert rep.holds, rep.failures
+    failures = verify_totals(zh_count_rows(6), ph_count_rows(6))
+    assert not failures, failures
 
 
 def test_c_values_check():
-    rep = verify_c_values()
-    assert rep.holds, rep.failures
+    failures = verify_c_values()
+    assert not failures, failures
 
 
 def test_ph_rows_follow_from_zh_rows():
