@@ -11,6 +11,10 @@ runs are byte-identical.  Exit status: 0 on success, 1 when a requested
 check fails or on a domain error (a cap refused, a float result that
 overflowed), 2 on usage errors and unreadable input (argparse's
 convention), with an error message and no traceback.
+
+A subcommand imports the modules that only it uses (``families``,
+``identities``, ``strips``, ``asymptotics``) when it runs, so each
+one-shot invocation loads no more than its own work needs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import asymptotics, families, identities, strips, zeros
+# zeros, and numpy with it, stays a top-level import while
+# perfbench/run.py reads numpy's import time out of "import chromfield.cli"
+from . import zeros
 from .errors import (BadInputError, CapExceededError, ChromfieldError,
                      PreconditionUnmetError)
 from .graphs import FAMILY_BUILDERS, Graph, make_family
@@ -134,6 +140,7 @@ def _cmd_family(args) -> int:
         raise CapExceededError(
             f"{n} vertices exceeds the family cap of {DEFAULT_VERTEX_CAP}, "
             "the engines' vertex cap")
+    from . import families
     p = families.family_ph(kind, n) if args.ph else families.family_z(kind, n)
     _emit({
         "family": kind,
@@ -161,20 +168,21 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _print_verdicts(verdicts: list[identities.IdentityVerdict]) -> int:
-    """Print an ``ok  `` or ``FAIL`` line per verdict, a failing one with
-    its detail, and return how many failed."""
-    for v in verdicts:
-        detail = f": {v.detail}" if v.detail and not v.holds else ""
-        print(f"{'ok  ' if v.holds else 'FAIL'} {v.name}{detail}")
-    return sum(not v.holds for v in verdicts)
+def _print_verdicts(verdicts: list[tuple[str, bool, str]]) -> int:
+    """Print an ``ok  `` or ``FAIL`` line per (name, holds, detail)
+    verdict, a failing one with its detail, and return how many failed."""
+    for name, holds, detail in verdicts:
+        detail = f": {detail}" if detail and not holds else ""
+        print(f"{'ok  ' if holds else 'FAIL'} {name}{detail}")
+    return sum(not holds for _, holds, _ in verdicts)
 
 
 def _cmd_check(args) -> int:
     workers = _workers(args)
     g = _load_graph(args)
+    from . import identities
     verdicts = identities.identity_suite(g, workers)
-    bad = _print_verdicts(verdicts)
+    bad = _print_verdicts([(v.name, v.holds, v.detail) for v in verdicts])
     print(f"{len(verdicts) - bad}/{len(verdicts)} identities hold")
     return 1 if bad else 0
 
@@ -188,6 +196,7 @@ def _cmd_strips(args) -> int:
     if args.ly > STRIP_WIDTH_CAP:
         raise CapExceededError(
             f"--ly {args.ly} exceeds the strip width cap of {STRIP_WIDTH_CAP}")
+    from . import strips
     zh, ph = strips.zh_count_rows(args.ly), strips.ph_count_rows(args.ly)
     checks = {
         "rows": strips.verify_row_structure(zh, ph),
@@ -195,10 +204,8 @@ def _cmd_strips(args) -> int:
         "totals": strips.verify_totals(zh, ph),
         "coeffs": strips.verify_c_values(),
     }
-    bad = _print_verdicts([
-        identities.IdentityVerdict(f"strips-{name}", not failures,
-                                   "; ".join(failures))
-        for name, failures in checks.items()])
+    bad = _print_verdicts([(f"strips-{name}", not failures, "; ".join(failures))
+                           for name, failures in checks.items()])
     if args.growth_s:
         for kind in ("zh", "ph"):
             rep = strips.growth_report(kind, args.growth_s, args.ly + 4)
@@ -225,10 +232,15 @@ def _cmd_zeros(args) -> int:
             raise BadInputError(f"--fix names {name} more than once")
         value = _fraction(val, f"--fix wants name=number, got {item!r}")
         try:
-            fixed[name] = float(value)
+            as_float = float(value)
         except OverflowError:
+            as_float = math.inf
+        # float() turns a nonzero value that underflows into 0.0, which
+        # would solve the slice at 0 instead
+        if math.isinf(as_float) or (value != 0 and as_float == 0.0):
             raise BadInputError(
-                f"--fix value {val.strip()!r} is outside the float range") from None
+                f"--fix value {val.strip()!r} is outside the float range")
+        fixed[name] = as_float
     sl = zeros.zeros_in(p, args.var, fixed, drop_tol=args.drop_tol)
     _emit({
         "graph_hash": g.graph_hash(),
@@ -252,6 +264,7 @@ def _finite(args, *names: str) -> None:
 
 def _cmd_phi(args) -> int:
     _finite(args, "q", "s", "w")
+    from . import asymptotics
     rep = asymptotics.phi_circuit(args.q, args.s, args.w)
     _emit({
         "q": args.q, "s": args.s, "w": args.w,
@@ -266,6 +279,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_qc(args) -> int:
     _finite(args, "s", "w")
+    from . import asymptotics
     res = asymptotics.qc_circuit(args.s, args.w)
     payload = {"s": args.s, "w": args.w, "mode": res.mode,
                "value": res.value, "note": res.note}

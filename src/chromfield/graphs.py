@@ -8,7 +8,6 @@ tuple of (u, v) pairs with u <= v so parallel edges keep their multiplicity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -148,6 +147,9 @@ class Graph:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def graph_hash(self) -> str:
+        # imported here: hashlib loads OpenSSL, which only the commands
+        # that print a hash need
+        import hashlib
         return hashlib.sha256(self.canonical_key().encode()).hexdigest()[:16]
 
     def to_json_dict(self) -> dict:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from . import frontier
 from .errors import (BadDecompositionError, BadInputError, CapExceededError,
@@ -206,6 +205,15 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The standard library's process pool.  ``concurrent.futures`` and
+    ``multiprocessing`` take about 20 ms to import, so they are loaded on
+    the first parallel walk rather than by every process that imports
+    this module."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:

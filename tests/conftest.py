@@ -5,6 +5,7 @@ gate, so every expensive polynomial is computed once per session.
 """
 
 import json
+import os
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -17,6 +18,7 @@ from chromfield.graphs import (Graph, circuit_graph, complete_graph,
 from chromfield.partition import ph_poly, z_poly
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # one line per acceptance criterion, filled by test_acceptance and
 # echoed after the run (terminal summaries are never capture-swallowed)
@@ -57,6 +59,16 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment for a fresh ``python`` that imports this tree's
+    chromfield: the caller's, with the source directory first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 def named_fixture_graphs() -> dict[str, Graph]:

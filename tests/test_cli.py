@@ -5,7 +5,6 @@ import argparse
 import io
 import json
 import math
-import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
+from conftest import fresh_env, time_limit
 from chromfield import identities, strips, zeros
 from chromfield.cli import STRIP_WIDTH_CAP, _load_graph, main
 from chromfield.errors import BadInputError
@@ -260,6 +259,7 @@ def test_usage_error_exit_two():
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "5"],
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "-1"],
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "nan"],
+    ["zeros", "--family", "line:4", "--var", "q", "--fix", "s=1,w=1e-400"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -443,11 +443,48 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_module_entry_point_subprocess():
-    exe = shutil.which("chromfield")
-    cmd = [exe] if exe else [sys.executable, "-m", "chromfield.cli"]
-    proc = subprocess.run(cmd + ["family", "--family", "line:2"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
-    assert data["family"] == "line" and data["n"] == 2
+def _strips_lines(out):
+    lines = out.splitlines()
+    return (len(lines) == 4
+            and all(line.startswith("ok   strips-") for line in lines))
+
+
+def _identity_lines(out):
+    lines = out.splitlines()
+    total = len(lines) - 1
+    return (total > 0 and all(line.startswith("ok  ") for line in lines[:-1])
+            and lines[-1] == f"{total}/{total} identities hold")
+
+
+# each subcommand in a fresh interpreter: subcommands import their own
+# modules when they run, and an in-process test would find every module
+# already loaded by the tests before it
+COLD_RUNS = [
+    (["compute", "--family", "complete:5", "--mode", "ph", "--workers", "2"],
+     lambda out: set(json.loads(out)) == {"graph_hash", "n", "edges", "mode",
+                                          "poly"}),
+    (["family", "--family", "line:2"],
+     lambda out: json.loads(out)["family"] == "line" and json.loads(out)["n"] == 2),
+    (["oracle", "--family", "line:2", "--q", "3", "--s", "1", "--w", "2"],
+     lambda out: set(json.loads(out)) == {"graph_hash", "q", "s", "v", "w",
+                                          "value"}),
+    (["check", "--family", "circuit:3"], _identity_lines),
+    (["strips", "--ly", "2"], _strips_lines),
+    (["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=1/2"],
+     lambda out: len(json.loads(out)["roots"]) == 3),
+    (["phi", "--q", "5", "--s", "2", "--w", "0.5"],
+     lambda out: {"phi", "dominant", "region", "candidates"} <= set(json.loads(out))),
+    (["qc", "--s", "4", "--w", "0.5"],
+     lambda out: {"mode", "value", "note", "located"} <= set(json.loads(out))),
+]
+
+
+@pytest.mark.parametrize("argv, shape", COLD_RUNS,
+                         ids=[argv[0] for argv, _ in COLD_RUNS])
+def test_module_entry_point_subprocess(argv, shape):
+    proc = subprocess.run([sys.executable, "-m", "chromfield.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert shape(proc.stdout), proc.stdout
