@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from .errors import PreconditionUnmetError
 
 _TIE_TOL = 1e-9
+_QC_TOL = 1e-12  # width at which the q_c bisections stop
 
 
 def lam_z(q: complex, s: complex, v: complex, w: complex) -> tuple[complex, complex]:
@@ -192,18 +193,18 @@ def _bisect(f, lo: float, hi: float, tol: float, what: str) -> float:
     return (lo + hi) / 2
 
 
-def qc_locate_unit_modulus(s: float, w: float, tol: float = 1e-12) -> float:
+def qc_locate_unit_modulus(s: float, w: float) -> float:
     """Bisection for the q with |lam_1(q, s, w)| = 1 (s in {1,2} regime)."""
     return _bisect(lambda q: abs(lam_ph(q, s, w)[0]) - 1, 1.0, 2 + s + 1.0,
-                   tol, "unit-modulus")
+                   _QC_TOL, "unit-modulus")
 
 
-def qc_locate_pair_degeneracy(s: float, w: float, tol: float = 1e-12) -> float:
+def qc_locate_pair_degeneracy(s: float, w: float) -> float:
     """Bisection for the sign change of A(q) = q-s-1+w(s-1) with the
     dominance check |lam_1| = |lam_2| > 1 at the located point."""
     # A(1) = (s-1)(w-1) < 0 and A(s+2) = 1 + w(s-1) > 0 for 0 < w < 1,
     # so this bracket spans the crossing for the whole w window
-    q0 = _bisect(lambda q: q - s - 1 + w * (s - 1), 1.0, s + 2.0, tol,
+    q0 = _bisect(lambda q: q - s - 1 + w * (s - 1), 1.0, s + 2.0, _QC_TOL,
                  "degeneracy")
     l1, l2 = lam_ph(q0, s, w)
     if abs(abs(l1) - abs(l2)) > 1e-6 * max(1.0, abs(l1)):

@@ -102,7 +102,7 @@ def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
             v = best[2]
 
 
-def sweep_order(g: Graph, weight, limit=None) -> tuple[list[int], int] | None:
+def sweep_order(g: Graph, weight, limit) -> tuple[list[int], int] | None:
     """The cheapest greedy vertex order for a sweep over ``g``, and its work.
 
     A step that holds k frontier vertices, the new one included, and
@@ -122,8 +122,7 @@ def sweep_order(g: Graph, weight, limit=None) -> tuple[list[int], int] | None:
             nbrs[v].add(u)
     best = None
     for start in sorted(range(n), key=lambda x: (len(nbrs[x]), x)):
-        found = _greedy(n, nbrs, ends, start, weight,
-                        math.inf if limit is None else limit)
+        found = _greedy(n, nbrs, ends, start, weight, limit)
         if found is not None:
             best = found
             limit = found[1] - 1

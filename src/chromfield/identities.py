@@ -124,11 +124,10 @@ def beta_chromatic_products(g: Graph, ph: MultiPoly,
     chi = chromatic_number(g, p)
     beta = layers(ph, "w", g.n)
     failures = []
-    top = exact_div(beta[g.n], [("lin", "s", MultiPoly.const(j))
-                                for j in range(chi)])
+    top = exact_div(beta[g.n], [("s", j) for j in range(chi)])
     if top is None:
         failures.append(f"prod_(j<{chi}) (s-j) does not divide beta_n")
-    bottom = exact_div(beta[0], [("lin", "q", S + j) for j in range(chi)])
+    bottom = exact_div(beta[0], [("q", S + j) for j in range(chi)])
     if bottom is None:
         failures.append(f"prod_(j<{chi}) (q-s-j) does not divide beta_0")
     return failures
@@ -326,8 +325,7 @@ def dcr_deviation(g: Graph, edge_idx: int) -> MultiPoly:
 
 def has_dcr_factor(dev: MultiPoly) -> bool:
     """True when s*v*w*(w-1) divides the deletion-contraction defect."""
-    return exact_div(dev, [("mono", "s"), ("mono", "v"), ("mono", "w"),
-                           ("lin", "w", 1)]) is not None
+    return exact_div(dev, [("s", 0), ("v", 0), ("w", 0), ("w", 1)]) is not None
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:
@@ -370,7 +368,7 @@ def has_kit_factor(dev: RationalExpr) -> bool:
     """True when s*(q-s)*w*(w-1) divides the numerator and not the denominator."""
     if dev.num.is_zero():
         return True
-    factors = [("mono", "s"), ("lin", "q", S), ("mono", "w"), ("lin", "w", 1)]
+    factors = [("s", 0), ("q", S), ("w", 0), ("w", 1)]
     if exact_div(dev.num, factors) is None:
         return False
     for f in factors:
@@ -430,8 +428,8 @@ def tutte_equivalent_difference(g: Graph, h: Graph) -> MultiPoly:
 
 
 def has_tutte_difference_factor(diff: MultiPoly) -> bool:
-    return exact_div(diff, [("mono", "s"), ("lin", "q", S), ("mono", "v"),
-                            ("mono", "w"), ("lin", "w", 1)]) is not None
+    return exact_div(diff, [("s", 0), ("q", S), ("v", 0), ("w", 0),
+                            ("w", 1)]) is not None
 
 
 def chromatic_equivalent_check(g: Graph, h: Graph) -> bool:

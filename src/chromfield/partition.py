@@ -60,7 +60,7 @@ from . import frontier
 from .errors import (BadDecompositionError, BadInputError, CapExceededError,
                      LoopyGraphError)
 from .graphs import Graph
-from .poly import MultiPoly
+from .poly import Q, S, MultiPoly
 
 DEFAULT_EDGE_CAP = 30
 DEFAULT_VERTEX_CAP = 60
@@ -349,12 +349,10 @@ def chromatic_poly(g: Graph) -> MultiPoly:
     return ph_poly(g).substitute(s=0)
 
 
-def chromatic_number(g: Graph, p: MultiPoly | None = None) -> int:
-    """Least q with P(G, q) > 0; ``p`` is P(G, q) when the caller has it."""
+def chromatic_number(g: Graph, p: MultiPoly) -> int:
+    """Least q with P(G, q) > 0, where ``p`` is P(G, q)."""
     if g.has_loop():
         raise LoopyGraphError("loops admit no proper coloring")
-    if p is None:
-        p = chromatic_poly(g)
     for k in range(g.n + 1):
         if p.evaluate(q=k) > 0:
             return k
@@ -362,23 +360,17 @@ def chromatic_number(g: Graph, p: MultiPoly | None = None) -> int:
 
 
 def tutte_poly(g: Graph) -> MultiPoly:
-    """Tutte polynomial T(G, x, y) = sum (x-1)^{k'-k} (y-1)^{c'}, remapped
-    from the zero-field sum's coefficients of q^k' v^m' (c' = m' + k' - n).
+    """Tutte polynomial T(G, x, y) = sum (x-1)^{k'-k} (y-1)^{c'}: each
+    coefficient of q^k' v^m' in the zero-field sum moves to x^(k'-k) y^c'
+    (c' = m' + k' - n), then x -> x-1 and y -> y-1 are substituted.
 
     Stored in the first two variable slots; render with names=("x", "y").
     """
     k_whole = g.component_count()
-    out: dict[tuple[int, int, int, int], int] = {}
-    for (k_comp, _, m, _), c in zero_field_poly(g).terms.items():
-        p = k_comp - k_whole
-        cyc = m + k_comp - g.n
-        for i in range(p + 1):
-            for j in range(cyc + 1):
-                exp = (i, j, 0, 0)
-                sign = (-1) ** ((p - i + cyc - j) & 1)
-                coeff = c * math.comb(p, i) * math.comb(cyc, j) * sign
-                out[exp] = out.get(exp, 0) + coeff
-    return MultiPoly._trusted(out)
+    shifted = MultiPoly._trusted({
+        (k_comp - k_whole, m + k_comp - g.n, 0, 0): c
+        for (k_comp, _, m, _), c in zero_field_poly(g).terms.items()})
+    return shifted.substitute(q=Q - 1, s=S - 1)
 
 
 # -- layer decompositions -----------------------------------------------------

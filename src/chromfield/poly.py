@@ -3,9 +3,8 @@
 Terms are stored as a dict mapping exponent 4-tuples to nonzero Python ints,
 so all arithmetic is exact at arbitrary precision.  The variable slots are
 fixed: index 0 is q, 1 is s, 2 is v, 3 is w.  Derived variables such as
-t = s*(w-1) and the shifted q-s are handled as views (``rebase_t`` and
-substitution), never as stored variables, so every polynomial has exactly one
-canonical form.
+the shifted q-s are handled by substitution, never as stored variables, so
+every polynomial has exactly one canonical form.
 
 ``substitute`` binds variables to ints or to polynomials only, so its result
 stays over Z; ``evaluate`` takes any numbers, Fractions and floats included.
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterable, Mapping
-
-from .errors import NotExpressibleError
 
 VARS = ("q", "s", "v", "w")
 _IDX = {name: i for i, name in enumerate(VARS)}
@@ -174,9 +171,6 @@ class MultiPoly:
         i = _IDX[name]
         return max((e[i] for e in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
         """All coefficients keyed by exponent of the chosen variable."""
         i = _IDX[name]
@@ -305,15 +299,16 @@ class MultiPoly:
 
     # -- exact division -------------------------------------------------------
 
-    def shift_down(self, name: str, k: int = 1) -> "MultiPoly | None":
-        """Exact quotient by name**k, or None if some term has lower degree."""
+    def shift_down(self, name: str) -> "MultiPoly | None":
+        """Exact quotient by the variable ``name``, or None if some term
+        lacks it."""
         i = _IDX[name]
         out = {}
         for e, c in self.terms.items():
-            if e[i] < k:
+            if not e[i]:
                 return None
             ne = list(e)
-            ne[i] -= k
+            ne[i] -= 1
             out[tuple(ne)] = c
         return MultiPoly._trusted(out)
 
@@ -348,34 +343,6 @@ class MultiPoly:
                 key = tuple(ne)
                 out[key] = out.get(key, 0) + c
         return MultiPoly._trusted(out)
-
-    # -- t-basis view ---------------------------------------------------------
-
-    def rebase_t(self) -> "MultiPoly":
-        """Rewrite with s eliminated via t = s*(w-1); the s slot then holds t.
-
-        Works exactly when every s^j coefficient is divisible by (w-1)^j,
-        which is the case whenever s enters only through t.  Raises
-        NotExpressibleError otherwise.
-        """
-        out = MultiPoly.zero()
-        for j, cj in self.coeffs_in("s").items():
-            dj = cj
-            for _ in range(j):
-                dj = dj.div_linear("w", 1)
-                if dj is None:
-                    raise NotExpressibleError(
-                        "polynomial is not expressible in t = s*(w-1)")
-            out = out + dj * MultiPoly.monomial((0, j, 0, 0))
-        return out
-
-    def unrebase_t(self) -> "MultiPoly":
-        """Inverse of rebase_t: interpret the s slot as t and expand t = s*(w-1)."""
-        wm1 = MultiPoly.var("w") - 1
-        out = MultiPoly.zero()
-        for j, cj in self.coeffs_in("s").items():
-            out = out + cj * (wm1 ** j) * MultiPoly.monomial((0, j, 0, 0))
-        return out
 
     # -- serialization and display --------------------------------------------
 
@@ -440,21 +407,14 @@ ONE = MultiPoly.one()
 
 
 def exact_div(p: MultiPoly, factors: Iterable[tuple[str, object]]) -> MultiPoly | None:
-    """Divide p exactly by a product of simple factors.
-
-    Each factor is ("mono", name) for a bare variable or ("lin", name, shift)
-    for (name - shift).  Returns the quotient or None.
-    """
+    """Divide p exactly by the product of (name - shift) over the
+    (name, shift) factors; a shift of 0 is the bare variable.  Returns the
+    quotient or None."""
     out = p
-    for f in factors:
+    for name, shift in factors:
         if out is None:
             return None
-        if f[0] == "mono":
-            out = out.shift_down(f[1])
-        elif f[0] == "lin":
-            out = out.div_linear(f[1], f[2])
-        else:
-            raise ValueError(f"unknown factor kind {f[0]!r}")
+        out = out.shift_down(name) if shift == 0 else out.div_linear(name, shift)
     return out
 
 

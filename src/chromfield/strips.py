@@ -162,11 +162,12 @@ def verify_totals(zh: list[dict[int, MultiPoly]],
     return failures
 
 
-def verify_c_values(d_max: int = 8) -> list[str]:
-    """c^(d)(0) = (-1)^d and c^(d)(1) cycles through 1, 0, -1 with period 3."""
+def verify_c_values() -> list[str]:
+    """c^(d)(0) = (-1)^d and c^(d)(1) cycles through 1, 0, -1 with period 3,
+    for d = 0..8."""
     failures = []
     period = {0: 1, 1: 0, 2: -1}
-    for d in range(d_max + 1):
+    for d in range(9):
         if c_coeff(d, 0) != MultiPoly.const((-1) ** d):
             failures.append(f"c^({d})(0) != (-1)^{d}")
         if c_coeff(d, 1) != MultiPoly.const(period[d % 3]):
@@ -181,10 +182,6 @@ class GrowthReport:
     ratios: list[float]
     limit: float
     monotone: bool
-
-    @property
-    def final_ratio(self) -> float:
-        return self.ratios[-1]
 
 
 def growth_report(kind: str, s_val: int, ly_max: int = 8) -> GrowthReport:

@@ -29,9 +29,12 @@ import numpy as np
 
 from .errors import (BadInputError, DegenerateDenominatorError,
                      NoConvergenceError, PreconditionUnmetError)
-from .poly import MultiPoly
+from .poly import VARS, MultiPoly
 
 _TOL = 1e-12
+_MAX_ITER = 200  # Durand-Kerner sweeps before the np.roots fallback
+_POLISH_STEPS = 3
+_CHECK_TOL = 1e-9  # relative tolerance of the zero-set symmetry checks
 
 
 def _horner(coeffs: list[complex], z: complex) -> complex:
@@ -48,8 +51,7 @@ def _horner_deriv(coeffs: list[complex], z: complex) -> complex:
     return acc
 
 
-def durand_kerner(coeffs: list[complex], max_iter: int = 200,
-                  tol: float = _TOL) -> list[complex]:
+def durand_kerner(coeffs: list[complex]) -> list[complex]:
     """All roots of an ascending-coefficient polynomial, leading term nonzero."""
     d = len(coeffs) - 1
     if d < 1:
@@ -58,7 +60,7 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 200,
     radius = 1 + max(abs(c) for c in monic[:-1])
     roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / d)
              for k in range(d)]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         shift = 0.0
         for k in range(d):
             zk = roots[k]
@@ -67,22 +69,21 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 200,
                 if j != k:
                     den *= zk - roots[j]
             if den == 0:
-                den = tol
+                den = _TOL
             delta = _horner(monic, zk) / den
             if not cmath.isfinite(delta):
                 raise NoConvergenceError("simultaneous iteration overflowed")
             roots[k] = zk - delta
             shift = max(shift, abs(delta))
-        if shift < tol * max(1.0, radius):
+        if shift < _TOL * max(1.0, radius):
             return roots
     raise NoConvergenceError("simultaneous iteration did not settle")
 
 
-def _newton_polish(coeffs: list[complex], roots: list[complex],
-                   steps: int = 3) -> list[complex]:
+def _newton_polish(coeffs: list[complex], roots: list[complex]) -> list[complex]:
     out = []
     for z in roots:
-        for _ in range(steps):
+        for _ in range(_POLISH_STEPS):
             dp = _horner_deriv(coeffs, z)
             if dp == 0:
                 break
@@ -149,12 +150,19 @@ def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, complex],
              drop_tol: float = 0.0) -> ZeroSlice:
     """Zero slice of p in one variable with the others numerically fixed.
 
-    ``drop_tol``, in [0, 1), treats top coefficients of relative magnitude
-    at or below it as vanished (useful when the fixed values are floats
-    sitting on a locus where the exact coefficient is zero).
+    Every other variable p depends on must be in ``fixed``.  ``drop_tol``,
+    in [0, 1), treats top coefficients of relative magnitude at or below it
+    as vanished (useful when the fixed values are floats sitting on a locus
+    where the exact coefficient is zero).
     """
     if not 0 <= drop_tol < 1:
         raise BadInputError(f"drop_tol wants a number in [0, 1), got {drop_tol}")
+    unfixed = [n for n in VARS
+               if n != variable and n not in fixed and p.degree(n) > 0]
+    if unfixed:
+        raise BadInputError(
+            f"slice in {variable} leaves {', '.join(unfixed)} unfixed; "
+            "fix every other variable of the polynomial")
     try:
         coeffs = p.univariate(variable, fixed)
         finite = all(cmath.isfinite(c) for c in coeffs)
@@ -290,8 +298,7 @@ def s_pole_of_v_zero(q: complex, w: complex) -> complex:
 
 # -- structural properties of zero sets ---------------------------------------
 
-def q_shift_check(z: MultiPoly, s_val: float, v_val: float,
-                  rel_tol: float = 1e-9) -> bool:
+def q_shift_check(z: MultiPoly, s_val: float, v_val: float) -> bool:
     """As w goes from 1 to 0 the q-plane zeros translate right by s.
 
     Both endpoint slices reduce to zero-field polynomials whose roots can
@@ -311,16 +318,12 @@ def q_shift_check(z: MultiPoly, s_val: float, v_val: float,
         for j in range(k + 1):
             shifted[j] += c * math.comb(k, j) * (-s_val) ** (k - j)
     scale = max(max(abs(c) for c in at0), 1.0)
-    return all(abs(a - b) <= rel_tol * scale for a, b in zip(shifted, at0))
+    return all(abs(a - b) <= _CHECK_TOL * scale for a, b in zip(shifted, at0))
 
 
-def w_inversion_check(p: MultiPoly, s_val: float, rel_tol: float = 1e-9,
-                      v_val: float | None = None) -> bool:
-    """At q = 2s the nonzero w-plane zeros are closed under w -> 1/w."""
-    fixed = {"q": 2 * s_val, "s": s_val}
-    if v_val is not None:
-        fixed["v"] = v_val
-    sl = zeros_in(p, "w", fixed)
+def w_inversion_check(p: MultiPoly, s_val: float) -> bool:
+    """At q = 2s the nonzero w-plane zeros of Ph are closed under w -> 1/w."""
+    sl = zeros_in(p, "w", {"q": 2 * s_val, "s": s_val})
     nonzero = [r for r in sl.roots if abs(r) > 1e-8]
     inverted = [1 / r for r in nonzero]
-    return match_roots(nonzero, inverted, rel_tol)
+    return match_roots(nonzero, inverted, _CHECK_TOL)

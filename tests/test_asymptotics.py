@@ -70,6 +70,14 @@ def test_phi_region_classification():
     # huge w: the closed-orbit term vw cannot dominate lam_1, but lam_1
     # itself grows like (s-1) w; still R1
     assert phi_circuit(3, 2, 50.0).region == "R1"
+    # R2: a closed-orbit term or the second eigenvalue outgrows lam_1;
+    # here |orbit_v| = 1 > |lam_2| = 0.718 > |lam_1| = 0.418
+    rep = phi_circuit(2.5, 2, 0.2)
+    assert (rep.region, rep.dominant, rep.phi) == ("R2", "orbit_v", 1)
+    # and here |lam_2| = (1 + sqrt 2)/2 > |orbit_v| = 1 > |lam_1|
+    rep = phi_circuit(1.5, 2, 0.5)
+    assert (rep.region, rep.dominant) == ("R2", "lam2")
+    assert rep.phi == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-12)
 
 
 # -- residual-order checks for the limiting expansions -------------------------

@@ -204,6 +204,13 @@ def test_phi_payload(capsys):
     assert set(data["candidates"]) == {"lam1", "lam2", "orbit_vw", "orbit_v"}
 
 
+def test_phi_payload_in_region_r2(capsys):
+    data = run_json(capsys, ["phi", "--q", "1.5", "--s", "2", "--w", "0.5"])
+    assert (data["region"], data["dominant"]) == ("R2", "lam2")
+    assert data["phi"] == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-12)
+    assert data["candidates"]["orbit_v"] == [-1, 0]
+
+
 def test_qc_located_residual(capsys):
     data = run_json(capsys, ["qc", "--s", "2", "--w", "0.5"])
     assert data["mode"] == "unit-modulus"
@@ -260,6 +267,8 @@ def test_usage_error_exit_two():
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "-1"],
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=0.5", "--drop-tol", "nan"],
     ["zeros", "--family", "line:4", "--var", "q", "--fix", "s=1,w=1e-400"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1"],
+    ["zeros", "--family", "line:3", "--var", "q", "--mode", "z", "--fix", "s=1,w=2"],
 ])
 def test_bad_argument_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -271,7 +280,7 @@ def test_bad_argument_exit_two(capsys, argv):
     ["phi", "--q", "1e308", "--s", "1e308", "--w", "1e308"],
     ["phi", "--q", "1e200", "--s", "1", "--w", "1e200"],
     ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1e308,w=1e308"],
-    ["zeros", "--family", "line:3", "--var", "q", "--fix", "w=1e200"],
+    ["zeros", "--family", "line:3", "--var", "q", "--fix", "s=1,w=1e200"],
 ])
 def test_result_overflow_is_domain_error(capsys, argv):
     # finite arguments whose float result overflows: no Infinity or NaN

@@ -425,6 +425,28 @@ def test_forest_scaling_sees_one_monomial(z_cache):
     assert not cycle_deviation(z_cache["line4"] + Q, 4).num.is_zero()
 
 
+def test_beta_layer_report_sees_q_in_the_top_layer(catalog, z_cache):
+    g = catalog["line3"]
+    failures = beta_layer_report(g, z_cache["line3"] + Q * W ** 3,
+                                 zero_field_by_walk(g))
+    assert "beta_n involves q" in failures
+
+
+def test_alpha_sign_report_sees_one_monomial(ph_cache):
+    # -2 q^4 turns alpha_n = 1 into -1
+    assert alpha_sign_report(ph_cache["k4"] - 2 * Q ** 4, 4, 1,
+                             Fraction(1, 3)) == ["alpha_(n-0) = -1 has sign != 1"]
+
+
+def test_kit_factor_sees_one_monomial():
+    dev = kit_deviation(line_graph(3), [0, 1], [1, 2])
+    assert has_kit_factor(dev)
+    # s no longer divides the numerator
+    assert not has_kit_factor(RationalExpr(dev.num + Q, dev.den))
+    # w divides the denominator
+    assert not has_kit_factor(RationalExpr(dev.num, dev.den * W))
+
+
 # -- bundled suite -------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["line3", "circuit4", "k4", "c4d", "star4"])

@@ -347,12 +347,11 @@ def test_chromatic_polynomials():
 
 
 def test_chromatic_number():
-    assert chromatic_number(complete_graph(4)) == 4
-    assert chromatic_number(circuit_graph(5)) == 3
-    assert chromatic_number(circuit_graph(6)) == 2
-    assert chromatic_number(null_graph(3)) == 1
+    for g, chi in ((complete_graph(4), 4), (circuit_graph(5), 3),
+                   (circuit_graph(6), 2), (null_graph(3), 1)):
+        assert chromatic_number(g, chromatic_poly(g)) == chi
     with pytest.raises(LoopyGraphError):
-        chromatic_number(circuit_graph(1))
+        chromatic_number(circuit_graph(1), chromatic_poly(circuit_graph(1)))
 
 
 def test_tutte_polynomial_values():

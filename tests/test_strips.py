@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from chromfield import strips
 from chromfield.errors import PreconditionUnmetError
 from chromfield.poly import Q, S, MultiPoly
 from chromfield.strips import (c_coeff, c_tilde, growth_report, ph_count_rows,
@@ -108,6 +109,37 @@ def test_ph_rows_follow_from_zh_rows():
             assert ph[ly][d] == expected, (ly, d)
 
 
+# -- negative controls ---------------------------------------------------------
+# The checks above see only true tables, so a check that stopped checking
+# would still pass them.  Here one entry of a row table is changed by one
+# monomial, and the check must name that entry.
+
+@pytest.mark.parametrize("check, kind, ly, d, failure", [
+    (verify_row_structure, "zh", 2, 2, "n(Ly=2, d=2) != 1"),
+    (verify_row_structure, "zh", 3, 2, "n_Zh(Ly=3, d=2) != (s+1)Ly + Ly - 1"),
+    (verify_row_structure, "ph", 3, 2, "n_Ph(Ly=3, d=2) != (s+1)Ly"),
+    (verify_row_structure, "ph", 4, 1,
+     "n_Ph(Ly=4, d=1) != shifted Zh combination"),
+    (verify_sum_identities, "zh", 4, 1, "Zh coefficient sum at Ly=4 != q^Ly"),
+    (verify_sum_identities, "ph", 4, 1,
+     "Ph coefficient sum at Ly=4 != q(q-1)^(Ly-1)"),
+    (verify_totals, "zh", 5, 0, "N_Zh(Ly=5) != binomial closed form"),
+    (verify_totals, "ph", 5, 0, "N_Ph(Ly=5) != shifted closed form"),
+])
+def test_row_checks_see_one_monomial(check, kind, ly, d, failure):
+    zh, ph = zh_count_rows(6), ph_count_rows(6)
+    rows = zh if kind == "zh" else ph
+    rows[ly][d] = rows[ly][d] + S
+    assert failure in check(zh, ph)
+
+
+def test_c_values_check_sees_one_monomial(monkeypatch):
+    true_c = strips.c_coeff
+    monkeypatch.setattr(strips, "c_coeff",
+                        lambda d, arg: true_c(d, arg) + (Q if d == 4 else 0))
+    assert verify_c_values() == ["c^(4)(0) != (-1)^4", "c^(4)(1) != 0"]
+
+
 # -- totals --------------------------------------------------------------------
 
 def test_zh_totals_closed_forms():
@@ -161,9 +193,9 @@ def test_growth_monotone_toward_limit(kind, s_val, limit):
     rep = growth_report(kind, s_val, ly_max=9)
     assert rep.limit == limit
     assert rep.monotone
-    assert rep.final_ratio < limit
+    assert rep.ratios[-1] < limit
     # approach: final ratio within 10% of the limiting value
-    assert rep.final_ratio > 0.9 * limit
+    assert rep.ratios[-1] > 0.9 * limit
 
 
 def test_growth_requires_positive_s():
