@@ -13,8 +13,8 @@ overflowed), 2 on usage errors and unreadable input (argparse's
 convention), with an error message and no traceback.
 
 A subcommand imports the modules that only it uses (``families``,
-``identities``, ``strips``, ``asymptotics``) when it runs, so each
-one-shot invocation loads no more than its own work needs.
+``identities``, ``strips``, ``zeros``, ``asymptotics``) when it runs, so
+each one-shot invocation loads no more than its own work needs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-# zeros, and numpy with it, stays a top-level import while
-# perfbench/run.py reads numpy's import time out of "import chromfield.cli"
-from . import zeros
+# no computation uses numpy; perfbench/run.py:import_times reads numpy's
+# import time out of "import chromfield.cli", so the CLI still imports it
+import numpy  # noqa: F401
+
 from .errors import (BadInputError, CapExceededError, ChromfieldError,
                      PreconditionUnmetError)
 from .graphs import FAMILY_BUILDERS, Graph, make_family
@@ -241,6 +242,7 @@ def _cmd_zeros(args) -> int:
             raise BadInputError(
                 f"--fix value {val.strip()!r} is outside the float range")
         fixed[name] = as_float
+    from . import zeros
     sl = zeros.zeros_in(p, args.var, fixed, drop_tol=args.drop_tol)
     _emit({
         "graph_hash": g.graph_hash(),

@@ -184,7 +184,7 @@ class GrowthReport:
     monotone: bool
 
 
-def growth_report(kind: str, s_val: int, ly_max: int = 8) -> GrowthReport:
+def growth_report(kind: str, s_val: int, ly_max: int) -> GrowthReport:
     """Successive total ratios N(Ly+1)/N(Ly) against the (s+4) / (s+3) limits."""
     if s_val < 1:
         raise PreconditionUnmetError("growth rates are stated for integer s >= 1")

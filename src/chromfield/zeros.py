@@ -2,11 +2,11 @@
 
 Given the exact polynomial from the engine, a slice fixes all but one of
 (q, s, v, w) at numeric values and finds the complex zeros of the remaining
-univariate polynomial.  Root finding is simultaneous-iteration
-(Durand-Kerner) on the monic polynomial, polished by Newton steps, with a
-companion-matrix eigenvalue fallback when the iteration stalls or a step
-leaves the finite floats (at a large starting radius, Horner's rule can
-overflow on a slice whose coefficients are all finite).
+univariate polynomial.  Root finding is Aberth-Ehrlich iteration started
+on the Fujiwara circle, polished by Newton steps; degrees one and two
+are solved in closed form.  An iteration that does not settle, or takes
+a step outside the finite floats, raises ``NoConvergenceError`` rather
+than return a rough or NaN root.
 
 Top-degree coefficients of a slice can vanish (for example the w-degree-n
 coefficient of Z at s = 0): those roots move off to infinity and are
@@ -25,69 +25,70 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (BadInputError, DegenerateDenominatorError,
                      NoConvergenceError, PreconditionUnmetError)
 from .poly import VARS, MultiPoly
 
-_TOL = 1e-12
-_MAX_ITER = 200  # Durand-Kerner sweeps before the np.roots fallback
+_EPS = 2.0 ** -52
+_MAX_ITER = 200  # Aberth sweeps before NoConvergenceError
 _POLISH_STEPS = 3
 _CHECK_TOL = 1e-9  # relative tolerance of the zero-set symmetry checks
 
 
-def _horner(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
+def _horner(coeffs: list[complex], z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z) and sum_k |a_k| |z|^k, the scale of p(z)'s rounding."""
+    p = dp = 0j
+    size, r = 0.0, abs(z)
     for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+        dp = dp * z + p
+        p = p * z + c
+        size = size * r + abs(c)
+    return p, dp, size
 
 
-def _horner_deriv(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + k * coeffs[k]
-    return acc
+def aberth(coeffs: list[complex]) -> list[complex]:
+    """All roots of an ascending-coefficient polynomial, leading term nonzero.
 
-
-def durand_kerner(coeffs: list[complex]) -> list[complex]:
-    """All roots of an ascending-coefficient polynomial, leading term nonzero."""
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer.
+    Algorithms 13, 1996) from the Fujiwara circle, which encloses every
+    root.  A root stops moving once |p(z)| is within twice the rounding of
+    its own evaluation.
+    """
     d = len(coeffs) - 1
-    if d < 1:
-        return []
-    monic = [c / coeffs[-1] for c in coeffs]
-    radius = 1 + max(abs(c) for c in monic[:-1])
+    lead = abs(coeffs[-1])
+    radius = 2 * max(abs(c) ** (1 / (d - k)) / lead ** (1 / (d - k))
+                     for k, c in enumerate(coeffs[:-1]))
     roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / d)
              for k in range(d)]
     for _ in range(_MAX_ITER):
-        shift = 0.0
-        for k in range(d):
-            zk = roots[k]
-            den = 1 + 0j
-            for j in range(d):
-                if j != k:
-                    den *= zk - roots[j]
-            if den == 0:
-                den = _TOL
-            delta = _horner(monic, zk) / den
-            if not cmath.isfinite(delta):
-                raise NoConvergenceError("simultaneous iteration overflowed")
-            roots[k] = zk - delta
-            shift = max(shift, abs(delta))
-        if shift < _TOL * max(1.0, radius):
+        moved = False
+        for k, z in enumerate(roots):
+            try:
+                p, dp, size = _horner(coeffs, z)
+                if abs(p) <= 2 * _EPS * size:
+                    continue
+                pull = sum(1 / (z - r) for j, r in enumerate(roots) if j != k)
+                step = p / (dp - p * pull)
+            except (ZeroDivisionError, OverflowError):
+                step = cmath.nan
+            if not cmath.isfinite(step):
+                raise NoConvergenceError("Aberth iteration took a non-finite step")
+            roots[k] = z - step
+            moved = True
+        if not moved:
             return roots
-    raise NoConvergenceError("simultaneous iteration did not settle")
+    raise NoConvergenceError(
+        f"Aberth iteration did not settle in {_MAX_ITER} sweeps")
 
 
 def _newton_polish(coeffs: list[complex], roots: list[complex]) -> list[complex]:
     out = []
     for z in roots:
         for _ in range(_POLISH_STEPS):
-            dp = _horner_deriv(coeffs, z)
+            p, dp, _ = _horner(coeffs, z)
             if dp == 0:
                 break
-            step = _horner(coeffs, z) / dp
+            step = p / dp
             if abs(step) > 1 + abs(z):
                 break  # Newton escaping (near-multiple root); keep iterate
             z = z - step
@@ -126,11 +127,7 @@ def poly_roots(coeffs: list[complex]) -> list[complex]:
     elif len(coeffs) == 3:
         roots = _quadratic_roots(*coeffs)
     elif len(coeffs) > 3:
-        try:
-            roots = durand_kerner(coeffs)
-        except NoConvergenceError:
-            roots = list(np.roots(list(reversed(coeffs))).astype(complex))
-        roots = _newton_polish(coeffs, roots)
+        roots = _newton_polish(coeffs, aberth(coeffs))
     else:
         roots = []
     return [0j] * zeros_at_origin + roots

@@ -186,6 +186,16 @@ def test_strips_growth_lines(capsys):
     assert "growth ph s=2" in out and "limit=5.0" in out
 
 
+def test_strips_growth_ratios(capsys):
+    code, out, err = run_cli(capsys, ["strips", "--ly", "3", "--growth-s", "2"])
+    assert code == 0
+    ratios = {line.split()[1]: line.split("ratios=")[1].split(" limit=")[0]
+              for line in out.splitlines() if line.startswith("growth")}
+    assert ratios == {
+        "zh": "['4.500', '4.889', '5.159', '5.339', '5.460', '5.545']",
+        "ph": "['3.500', '4.000', '4.286', '4.450', '4.552', '4.622']"}
+
+
 # -- zeros, phi, qc ------------------------------------------------------------
 
 def test_zeros_slice_matches_library(capsys):
@@ -236,6 +246,14 @@ def test_not_expressible_exit_one(capsys):
     code, out, err = run_cli(capsys, ["family", "--family", "complete:4"])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_zeros_no_convergence_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(zeros, "_MAX_ITER", 1)
+    code, out, err = run_cli(capsys, ["zeros", "--family", "line:3",
+                                      "--var", "q", "--fix", "s=1,w=1/2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_exit_two():
@@ -297,6 +315,15 @@ def test_qc_large_s_terminates(capsys):
         data = run_json(capsys, ["qc", "--s", "1e20", "--w", "0.5"])
     assert data["mode"] == "pair-degeneracy"
     assert data["located"] == data["value"] == 5e19
+
+
+def test_family_sizes_at_both_ends(capsys):
+    assert run_json(capsys, ["family", "--family", "null:0"])["text"] == "1"
+    data = run_json(capsys, ["family", "--family", f"null:{DEFAULT_VERTEX_CAP}"])
+    assert data["n"] == DEFAULT_VERTEX_CAP
+    code, out, err = run_cli(capsys, ["family", "--family",
+                                      f"null:{DEFAULT_VERTEX_CAP + 1}"])
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

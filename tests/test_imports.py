@@ -9,6 +9,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import fresh_env
 
 
@@ -32,6 +34,22 @@ def test_cli_import_loads_no_pool_hash_or_subcommand_modules():
         "concurrent.futures.process", "multiprocessing", "hashlib",
         "chromfield.identities", "chromfield.strips",
         "chromfield.asymptotics", "chromfield.families"})
+
+
+def test_cli_import_loads_no_zeros():
+    assert "chromfield.zeros" not in modules_after("import chromfield.cli")
+
+
+@pytest.mark.parametrize("statement", [
+    "import chromfield.zeros",
+    # the modules the in-process benchmark workloads import
+    "import chromfield.graphs, chromfield.identities, chromfield.partition, "
+    "chromfield.zeros",
+])
+def test_engines_and_zeros_load_no_numpy(statement):
+    loaded = modules_after(statement)
+    assert "chromfield.zeros" in loaded
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
 
 
 def test_partition_import_loads_no_concurrent_futures():

@@ -200,4 +200,4 @@ def test_growth_monotone_toward_limit(kind, s_val, limit):
 
 def test_growth_requires_positive_s():
     with pytest.raises(PreconditionUnmetError):
-        growth_report("zh", 0)
+        growth_report("zh", 0, 4)

@@ -19,7 +19,7 @@ from chromfield.graphs import Graph, circuit_graph, line_graph
 from chromfield.partition import (_counts_to_z, _qt_to_z, ph_poly,
                                   subgraph_counts, z_poly)
 from chromfield.poly import Q, S, V, W
-from chromfield.zeros import (durand_kerner, l1_q_zero, l1_s_zero, l1_w_zero,
+from chromfield.zeros import (aberth, l1_q_zero, l1_s_zero, l1_w_zero,
                               l2_q_zeros, l2_s_zeros, l2_s_zeros_near_w1,
                               l2_v_zero, l2_w_zero_bounded_at_minus_v,
                               l2_w_zero_unbounded_at_minus_v, l2_w_zeros,
@@ -52,10 +52,20 @@ def test_poly_roots_complex_pair():
     assert match_roots(roots, [1j, -1j])
 
 
-def test_durand_kerner_agrees_with_quartic_factorization():
+def test_aberth_agrees_with_quartic_factorization():
     # (x^2+1)(x-2)(x+3) = x^4 + x^3 - 5x^2 + x - 6
-    roots = durand_kerner([-6, 1, -5, 1, 1])
+    roots = aberth([-6, 1, -5, 1, 1])
     assert match_roots(roots, [1j, -1j, 2, -3], rel_tol=1e-8)
+
+
+def test_newton_polish_sharpens_integer_roots():
+    # prod_{k=1..15} (x - k) has integer coefficients below 2^53, exact in
+    # floats; the iteration alone leaves its roots about 1e-6 off, and the
+    # Newton polish takes them to about 1e-7
+    coeffs = [1]
+    for k in range(1, 16):
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    assert match_roots(poly_roots(coeffs), list(range(1, 16)), rel_tol=3e-7)
 
 
 def test_match_roots_rejects_wrong_multiset():
@@ -187,19 +197,25 @@ def test_v_root_pole_location():
     assert abs(near) > 1e6
 
 
-def test_overflowing_iteration_falls_back_to_eigenvalues():
-    # the s-slice of Z(C19) at q=2.9, v=-0.6, w=1.3 has finite coefficients,
-    # but on its starting circle (radius about 1e17) Horner's rule overflows
-    # to nan; that step must send the roots to the companion-matrix route
+def test_ill_scaled_slice_converges_from_the_fujiwara_circle():
+    # the s-slice of Z(C19) at q=2.9, v=-0.6, w=1.3 has a top coefficient
+    # about 1e-17 of its largest; 1 + max|a_k/a_d| would start the iteration
+    # near 1e17, where Horner's rule overflows, and the Fujiwara circle
+    # starts it near 237
     coeffs = zeros_in(z_poly(circuit_graph(19)), "s",
                       {"q": 2.9, "v": -0.6, "w": 1.3}).coeffs
-    with pytest.raises(NoConvergenceError):
-        durand_kerner(coeffs)
     roots = poly_roots(coeffs)
     assert len(roots) == 19 and all(cmath.isfinite(r) for r in roots)
     for r in roots:
         size = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
         assert abs(sum(c * r ** k for k, c in enumerate(coeffs))) <= 1e-12 * size
+
+
+def test_root_beyond_the_float_range_is_no_convergence():
+    # 1e-300 x^3 + 1e300 (x^2 + x + 1) has a root near -1e600; the step
+    # toward it is not finite, which must not come back as a NaN root
+    with pytest.raises(NoConvergenceError):
+        aberth([1e300, 1e300, 1e300, 1e-300])
 
 
 def test_infinite_terms_of_opposite_sign_are_a_domain_error():
