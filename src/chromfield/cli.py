@@ -251,7 +251,8 @@ def _cmd_zeros(args) -> int:
         "fixed": {k: v for k, v in sorted(sl.fixed.items())},
         "nominal_degree": sl.nominal_degree,
         "actual_degree": sl.actual_degree,
-        "roots": sorted([[round(z.real, 12), round(z.imag, 12)]
+        # + 0.0 prints a zero part as 0.0 whatever sign rounding left it
+        "roots": sorted([[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0]
                          for z in sl.roots]),
     })
     return 0

@@ -23,9 +23,11 @@ vertex caps.
   2^e subgraphs (K7: 36 961 against 2 097 152), and each records
   (component-size multiset, joining edges, cycle edges) in 6-bit fields,
   so it refuses graphs with more than 63 edges; one binomial pass then
-  gives the count of subgraphs per (multiset, edge count).  It is the only
-  engine with a parallel path: one task function starts every walk, the
-  serial walk being the one task with no forced prefix.
+  gives the count of subgraphs per (multiset, edge count).  The walk
+  carries the first two fields already shifted into place and a join adds
+  one precomputed int to them, so a leaf costs one OR and one count.  It
+  is the only engine with a parallel path: one task function starts every
+  walk, the serial walk being the one task with no forced prefix.
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 
 from . import frontier
 from .errors import (BadDecompositionError, BadInputError, CapExceededError,
@@ -114,18 +117,27 @@ def _explore(edges, j0: int, parent: list, size: list, key0: int,
     Each leaf is then one spanning forest of the choices, and the result
     maps (packed size-multiset << 12 | chosen edges m << 6 | c) ->
     multiplicity, m being m0 plus the joining edges chosen; ``_expand``
-    turns the leaves into subgraph counts.  The union-find uses union by
-    size and no path compression so a single undo record per union
-    suffices.
+    turns the leaves into subgraph counts.
+
+    The walk carries the first two fields already shifted into place,
+    km = key << 12 | m << 6, so a leaf is km | c.  A join of components
+    of sizes a and b adds join[a][b] = pw[a+b] - pw[a] - pw[b] + (1 << 6)
+    to km, where pw[k] = 1 << 6*(k+2) is one size-k component and 1 << 6
+    one more chosen edge.  The union-find uses union by size and no path
+    compression so a single undo record per union suffices: the root that
+    stays is ru, and a is its size before the join.
     """
     us = [e[0] for e in edges]
     vs = [e[1] for e in edges]
     end = len(edges)
     last = end - 1
-    counts: dict[int, int] = {}
-    get = counts.get
+    n = len(parent)
+    pw = [1 << (_CNT_BITS * (k + 2)) for k in range(n + 1)]
+    join = [[pw[a + b] - pw[a] - pw[b] + (1 << _CNT_BITS)
+             for b in range(n + 1 - a)] for a in range(n + 1)]
+    counts: defaultdict[int, int] = defaultdict(int)
 
-    def rec(j: int, key: int, m: int, c: int) -> None:
+    def rec(j: int, km: int, c: int) -> None:
         # the branch with a joining edge recurses (or, on the last edge, is
         # a leaf at once); the branch without it goes on in this loop
         while True:
@@ -141,28 +153,25 @@ def _explore(edges, j0: int, parent: list, size: list, key0: int,
                 c += 1
                 j += 1
             else:
-                pk = (key << (2 * _CNT_BITS)) | (m << _CNT_BITS) | c
-                counts[pk] = get(pk, 0) + 1
+                counts[km | c] += 1
                 return
             a = size[ru]
             b = size[rv]
-            nk = key + (1 << (_CNT_BITS * (a + b))) \
-                - (1 << (_CNT_BITS * a)) - (1 << (_CNT_BITS * b))
+            nk = km + join[a][b]
             if j == last:
-                pk = (nk << (2 * _CNT_BITS)) | ((m + 1) << _CNT_BITS) | c
-                counts[pk] = get(pk, 0) + 1
+                counts[nk | c] += 1
             else:
                 if a < b:
-                    ru, rv = rv, ru
+                    ru, rv, a, b = rv, ru, b, a
                 parent[rv] = ru
                 size[ru] = a + b
-                rec(j + 1, nk, m + 1, c)
+                rec(j + 1, nk, c)
                 parent[rv] = rv
-                size[ru] = max(a, b)
+                size[ru] = a
             j += 1
 
-    rec(j0, key0, m0, 0)
-    return counts
+    rec(j0, (key0 << (2 * _CNT_BITS)) | (m0 << _CNT_BITS), 0)
+    return dict(counts)
 
 
 def _expand(leaves: dict[int, int]) -> dict[int, int]:

@@ -208,6 +208,23 @@ def test_zeros_slice_matches_library(capsys):
     assert data["nominal_degree"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "circuit:5", "--var", "q", "--fix", "s=1,w=1/2"],
+    ["--family", "complete:5", "--var", "q", "--fix", "s=2,w=0"],
+    ["--family", "circuit:4", "--mode", "z", "--var", "w",
+     "--fix", "q=3,s=1,v=-7/10"],
+])
+def test_zeros_prints_no_negative_zero(capsys, argv):
+    # each of these slices has a real root whose imaginary part rounds to
+    # a zero of either sign; both print as 0.0
+    code, out, err = run_cli(capsys, ["zeros", *argv])
+    assert code == 0, err
+    parts = [x for root in json.loads(out)["roots"] for x in root]
+    assert 0.0 in parts
+    assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0)
+    assert "-0.0" not in out
+
+
 def test_phi_payload(capsys):
     data = run_json(capsys, ["phi", "--q", "5", "--s", "2", "--w", "0.5"])
     assert data["region"] == "R1" and data["dominant"] == "lam1"

@@ -20,6 +20,7 @@ from conftest import time_limit
 from chromfield import frontier, partition
 from chromfield.errors import (BadDecompositionError, BadInputError,
                                CapExceededError, LoopyGraphError)
+from chromfield.families import z_line
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                enumerate_spanning_subgraphs, grid_graph,
                                line_graph, make_family, null_graph,
@@ -161,6 +162,19 @@ def test_cycle_closing_edges_do_not_branch():
     apart, joined = 2 << 6, 1 << 12  # two singletons; one pair
     assert parallel == {(apart if m == 0 else joined) << 6 | m: math.comb(30, m)
                         for m in range(31)}
+
+
+def test_walk_at_the_vertex_packing_limit():
+    # 60 vertices, the packing limit: the walk's size table runs to 60,
+    # and the empty subgraph holds 60 singletons in one 6-bit count.
+    # subgraph_counts is called directly, so the frontier engine, which
+    # would take a path, cannot
+    g = line_graph(13).add_isolated(DEFAULT_VERTEX_CAP - 13)
+    assert g.n == DEFAULT_VERTEX_CAP
+    counts = subgraph_counts(g)
+    assert counts[60 << 12] == 1
+    want = z_line(13) * (QT + S * W) ** (DEFAULT_VERTEX_CAP - 13)
+    assert partition._counts_to_z(counts, g.n) == want
 
 
 @pytest.mark.parametrize("g, cpus, procs, tasks", [
