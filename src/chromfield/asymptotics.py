@@ -177,15 +177,15 @@ def qc_circuit(s: float, w: float) -> QcResult:
                     "s>2 with 1/(s-1) < w < 1")
 
 
-def _bisect(f, lo: float, hi: float, tol: float, what: str) -> float:
+def _bisect(f, lo: float, hi: float, what: str) -> float:
     """Halve [lo, hi] around the sign change f(lo) < 0 < f(hi) until it is
-    at most tol wide and return its midpoint."""
+    at most _QC_TOL wide and return its midpoint."""
     if f(lo) >= 0 or f(hi) <= 0:
         raise PreconditionUnmetError(f"{what} bracket failed")
-    while hi - lo > tol:
+    while hi - lo > _QC_TOL:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
-            break  # adjacent floats: for large brackets their gap exceeds tol
+            break  # adjacent floats: for large brackets their gap exceeds _QC_TOL
         if f(mid) < 0:
             lo = mid
         else:
@@ -196,7 +196,7 @@ def _bisect(f, lo: float, hi: float, tol: float, what: str) -> float:
 def qc_locate_unit_modulus(s: float, w: float) -> float:
     """Bisection for the q with |lam_1(q, s, w)| = 1 (s in {1,2} regime)."""
     return _bisect(lambda q: abs(lam_ph(q, s, w)[0]) - 1, 1.0, 2 + s + 1.0,
-                   _QC_TOL, "unit-modulus")
+                   "unit-modulus")
 
 
 def qc_locate_pair_degeneracy(s: float, w: float) -> float:
@@ -204,8 +204,7 @@ def qc_locate_pair_degeneracy(s: float, w: float) -> float:
     dominance check |lam_1| = |lam_2| > 1 at the located point."""
     # A(1) = (s-1)(w-1) < 0 and A(s+2) = 1 + w(s-1) > 0 for 0 < w < 1,
     # so this bracket spans the crossing for the whole w window
-    q0 = _bisect(lambda q: q - s - 1 + w * (s - 1), 1.0, s + 2.0, _QC_TOL,
-                 "degeneracy")
+    q0 = _bisect(lambda q: q - s - 1 + w * (s - 1), 1.0, s + 2.0, "degeneracy")
     l1, l2 = lam_ph(q0, s, w)
     if abs(abs(l1) - abs(l2)) > 1e-6 * max(1.0, abs(l1)):
         raise PreconditionUnmetError("located point is not a modulus tie")

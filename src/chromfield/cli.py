@@ -87,7 +87,7 @@ def _add_graph_args(sub) -> None:
     sub.add_argument("--graph", help="edge-list or JSON file ('-' for stdin)")
     sub.add_argument("--family",
                      help="named graph KIND:N, kinds: "
-                     + ",".join(sorted(FAMILY_BUILDERS) + ["c4d"]))
+                     + ",".join(sorted(FAMILY_BUILDERS)))
 
 
 def _emit(payload: dict) -> None:

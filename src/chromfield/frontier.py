@@ -25,12 +25,12 @@ merging two states adds ints; ``transfer_z`` unpacks the fields at the
 end.  Every coefficient is exact and non-negative.
 
 The plan is shared with the coloring oracle in ``partition``, which sweeps
-the colors of the frontier in place of its partitions.  ``sweep_order``
-builds a greedy minimum-frontier order from every start vertex and keeps
-the cheapest under a cost the caller gives per step (k frontier vertices,
-the new one included, and d edges decided): here the labelled Bell number
-of k times 1 + d, infinite past MAX_WIDTH; for the oracle q^k.
-``transfer_steps`` turns any order into the steps both sweeps run.
+the colors of the frontier in place of its partitions.  ``sweep`` builds
+a greedy minimum-frontier order from every start vertex, keeps the
+cheapest under a cost the caller gives per step (k frontier vertices,
+the new one included, and d edges decided) and returns its steps: here
+the labelled Bell number of k times 1 + d, infinite past MAX_WIDTH; for
+the oracle q^k.  ``transfer_steps`` turns any order into those steps.
 """
 
 from __future__ import annotations
@@ -102,14 +102,14 @@ def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
             v = best[2]
 
 
-def sweep_order(g: Graph, weight, limit) -> tuple[list[int], int] | None:
-    """The cheapest greedy vertex order for a sweep over ``g``, and its work.
+def sweep(g: Graph, weight, limit) -> list[Step] | None:
+    """The steps of the cheapest greedy vertex order for a sweep over ``g``.
 
     A step that holds k frontier vertices, the new one included, and
     decides d edges costs weight(k, d).  Each vertex is tried as the start
     of the order, lowest degree first; a start is given up once its work
     passes ``limit`` or reaches the best work found so far.  None when no
-    order stays within ``limit``.
+    order stays within ``limit``; [] for the empty graph.
     """
     n = g.n
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -120,31 +120,30 @@ def sweep_order(g: Graph, weight, limit) -> tuple[list[int], int] | None:
             ends[v].append(u)
             nbrs[u].add(v)
             nbrs[v].add(u)
-    best = None
+    order = None if n else []
     for start in sorted(range(n), key=lambda x: (len(nbrs[x]), x)):
         found = _greedy(n, nbrs, ends, start, weight, limit)
         if found is not None:
-            best = found
-            limit = found[1] - 1
-    return best
+            order, work = found
+            limit = work - 1
+    return None if order is None else transfer_steps(g, order)
 
 
 def plan(g: Graph) -> list[Step] | None:
     """Transfer steps for ``g``, or None where the walk should be used.
 
-    The frontier engine is chosen when ``sweep_order`` finds an order that
-    keeps every frontier at MAX_WIDTH vertices or fewer and whose estimated
-    work -- the sum over steps of the labelled Bell number of the frontier
-    times one plus the edges decided -- times _STATE_COST is below 2^e, the
-    bound on the walk's leaves.  The choice depends on the graph alone, not
-    on its labels or an option.
+    The frontier engine is chosen when ``sweep`` finds an order that keeps
+    every frontier at MAX_WIDTH vertices or fewer and whose estimated work
+    -- the sum over steps of the labelled Bell number of the frontier times
+    one plus the edges decided -- times _STATE_COST is below 2^e, the bound
+    on the walk's leaves.  The choice depends on the graph alone, not on
+    its labels or an option.
     """
     limit = (1 << g.e) // _STATE_COST
-    if g.n == 0 or 2 * (g.n + g.e) > limit:
+    if 2 * (g.n + g.e) > limit:
         return None
-    best = sweep_order(g, lambda k, d: _LABELLED_BELL[k] * (1 + d)
-                       if k <= MAX_WIDTH else math.inf, limit)
-    return None if best is None else transfer_steps(g, best[0])
+    return sweep(g, lambda k, d: _LABELLED_BELL[k] * (1 + d)
+                 if k <= MAX_WIDTH else math.inf, limit)
 
 
 def transfer_steps(g: Graph, order) -> list[Step]:

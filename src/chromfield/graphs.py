@@ -235,8 +235,10 @@ def complete_graph(n: int) -> Graph:
                       f"K{n}")
 
 
-def square_with_diagonal() -> Graph:
-    """4-cycle 0-1-2-3 plus the chord 0-2."""
+def square_with_diagonal(n: int = 4) -> Graph:
+    """4-cycle 0-1-2-3 plus the chord 0-2; the family has only n = 4."""
+    if n != 4:
+        raise BadSizeError("c4d is defined only for n = 4")
     return Graph.make(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], "C4d")
 
 
@@ -261,17 +263,14 @@ FAMILY_BUILDERS = {
     "star": star_graph,
     "circuit": circuit_graph,
     "complete": complete_graph,
+    "c4d": square_with_diagonal,
 }
 
 
 def make_family(kind: str, n: int) -> Graph:
-    if kind == "c4d":
-        if n != 4:
-            raise BadSizeError("c4d is defined only for n = 4")
-        return square_with_diagonal()
     if kind not in FAMILY_BUILDERS:
         raise BadInputError(f"unknown family {kind!r}; choose from "
-                            f"{sorted(FAMILY_BUILDERS) + ['c4d']}")
+                            f"{sorted(FAMILY_BUILDERS)}")
     return FAMILY_BUILDERS[kind](n)
 
 

@@ -44,13 +44,12 @@ zero-field decode, is kept as an independent reference for Z's assembly.
 A second, independent route sums over the q^n colorings instead of the
 subgraphs (``oracle_count_table`` and friends): a transfer over the colors
 of the vertices that still wait for a neighbour.  It shares the frontier
-engine's sweep plan -- ``frontier.sweep_order`` and
-``frontier.transfer_steps`` -- but never its sum, calls neither engine and
-is never used to feed one, so it cross-checks the cluster route; an order
-changes only its cost, never a count.  It refuses more than
-DEFAULT_VERTEX_CAP vertices, and ``CHROMFIELD_ORACLE_CAP`` bounds the
-transfer's work, q colors tried on each state it holds, not the q^n
-colorings.
+engine's sweep plan -- ``frontier.sweep`` -- but never its sum, calls
+neither engine and is never used to feed one, so it cross-checks the
+cluster route; an order changes only its cost, never a count.  It
+refuses more than DEFAULT_VERTEX_CAP vertices, and
+``CHROMFIELD_ORACLE_CAP`` bounds the transfer's work, q colors tried on
+each state it holds, not the q^n colorings.
 """
 
 from __future__ import annotations
@@ -405,13 +404,13 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
 
     Exact integer counts, summed over all q^n colorings by a transfer over
     the colors of the waiting vertices: those colored that still have an
-    uncolored neighbour.  Its vertex order and steps come from
-    ``frontier.sweep_order`` and ``frontier.transfer_steps``, with a step
-    that holds k waiting vertices costing q^k; the frontier engine's sum is
-    never used.  Each state keeps its whole (m, ns) table in one int: the
-    count of (m, ns) sits at bit (m*(n+1) + ns)*B, where B bits hold q^n,
-    so coloring a vertex is one shift and merging two states one addition.
-    A loop is always monochromatic and each parallel edge counts once.
+    uncolored neighbour.  Its steps come from ``frontier.sweep``, with a
+    step that holds k waiting vertices costing q^k; the frontier engine's
+    sum is never used.  Each state keeps its whole (m, ns) table in one
+    int: the count of (m, ns) sits at bit (m*(n+1) + ns)*B, where B bits
+    hold q^n, so coloring a vertex is one shift and merging two states one
+    addition.  A loop is always monochromatic and each parallel edge
+    counts once.
     """
     if q < 0 or not 0 <= s <= q:
         raise BadInputError(f"need integers 0 <= s <= q, got q={q}, s={s}")
@@ -420,26 +419,22 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
         raise CapExceededError(
             f"{n} vertices exceeds the oracle's vertex cap of {DEFAULT_VERTEX_CAP}")
     table = [[0] * (n + 1) for _ in range(g.e + 1)]
-    if n == 0:
-        table[0][0] = 1
-        return table
-    if q == 0:
-        return table
+    if q == 0 and n:
+        return table  # no coloring, and the transfer would keep no state
     # every step tries each of the q colors on each state it holds, so the
     # work is q times the states held; the planner gives up on an order
     # once its work passes the cap, so a refusal never plans in full
     cap = _oracle_cap()
-    best = frontier.sweep_order(g, lambda k, d: q ** k, cap)
-    if best is None:
+    steps = frontier.sweep(g, lambda k, d: q ** k, cap)
+    if steps is None:
         raise CapExceededError(
             f"the transfer work (states held x {q} colors tried) exceeds "
             f"the oracle cap of {cap} (override with CHROMFIELD_ORACLE_CAP)")
-    order, _ = best
     bits = (q ** n).bit_length()
     row = (n + 1) * bits
     waiting: list[int] = []
     layer: dict[tuple[int, ...], int] = {(): 1}
-    for x, back, retire in frontier.transfer_steps(g, order):
+    for x, back, retire in steps:
         loops = back.count(x)
         idx = [waiting.index(y) for y in back if y != x]
         kept = [j for j, y in enumerate(waiting) if y not in retire]
@@ -465,24 +460,16 @@ def oracle_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
 
 
 def oracle_z(g: Graph, q: int, s: int, v, w):
-    """Z by the coloring sum: sum N[m][ns] (1+v)^m w^ns.
+    """Z by the coloring sum: sum N[m][ns] (1+v)^m w^ns, the count table
+    read as a polynomial with y = 1 + v in v's slot and w in w's slot.
 
     ``v`` and ``w`` may be ints, Fractions, floats, or MultiPoly, so the
     result is exact whenever the inputs are.
     """
     table = oracle_count_table(g, q, s)
-    y = 1 + v
-    ypow, wpow = [y ** 0], [w ** 0]
-    for _ in range(g.e):
-        ypow.append(ypow[-1] * y)
-    for _ in range(g.n):
-        wpow.append(wpow[-1] * w)
-    total = 0
-    for m, row in enumerate(table):
-        for ns, c in enumerate(row):
-            if c:
-                total = total + c * ypow[m] * wpow[ns]
-    return total
+    counts = MultiPoly._trusted({(0, 0, m, ns): c for m, row in enumerate(table)
+                                 for ns, c in enumerate(row)})
+    return counts.evaluate(v=1 + v, w=w)
 
 
 def oracle_ph(g: Graph, q: int, s: int, w):

@@ -278,24 +278,25 @@ class MultiPoly:
             out[tuple(ne)] = c
         return MultiPoly._trusted(out)
 
-    def univariate(self, name: str, fixed: Mapping[str, complex]) -> list[complex]:
-        """Ascending coefficient list in one variable, other variables numeric.
+    def univariate(self, name: str, fixed: Mapping[str, float]) -> list[float]:
+        """Ascending coefficients in one variable, the others at real values.
 
-        Each power sums its terms with ``math.fsum``, real and imaginary
-        parts apart, so the list does not depend on the order of the terms:
-        not on the vertex labels, nor on the engine that built the
-        polynomial.  A term too large for a float raises OverflowError, and
-        terms of opposite infinite sign raise ValueError.
+        Each power sums its terms with ``math.fsum``, so the list does not
+        depend on the order of the terms: not on the vertex labels, nor on
+        the engine that built the polynomial.  A complex fixed value raises
+        TypeError, a term too large for a float OverflowError, and terms of
+        opposite infinite sign ValueError.
         """
+        if any(isinstance(val, complex) for val in fixed.values()):
+            raise TypeError(f"fixed values must be real, got {fixed}")
         i = _IDX[name]
         deg = self.degree(name)
         if deg < 0:
             return []
-        parts: list[list[complex]] = [[] for _ in range(deg + 1)]
+        parts: list[list[float]] = [[] for _ in range(deg + 1)]
         for exp, term in self._scaled_terms([fixed.get(n, 0) for n in VARS], i):
-            parts[exp[i]].append(complex(term))
-        return [complex(math.fsum(z.real for z in p), math.fsum(z.imag for z in p))
-                for p in parts]
+            parts[exp[i]].append(float(term))
+        return [math.fsum(p) for p in parts]
 
     # -- exact division -------------------------------------------------------
 

@@ -49,8 +49,6 @@ _ZERO = MultiPoly.zero()
 
 def c_coeff(d: int, arg) -> MultiPoly:
     """c^(d) evaluated at ``arg`` (an int or MultiPoly)."""
-    if isinstance(arg, int):
-        arg = MultiPoly.const(arg)
     total = MultiPoly.zero()
     for j in range(d + 1):
         total = total + (-1) ** j * comb(2 * d - j, j) * arg ** (d - j)

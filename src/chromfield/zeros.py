@@ -1,7 +1,7 @@
 """Zero sets of the partition sums in a single complex variable.
 
 Given the exact polynomial from the engine, a slice fixes all but one of
-(q, s, v, w) at numeric values and finds the complex zeros of the remaining
+(q, s, v, w) at real values and finds the complex zeros of the remaining
 univariate polynomial.  Root finding is Aberth-Ehrlich iteration started
 on the Fujiwara circle, polished by Newton steps; degrees one and two
 are solved in closed form.  An iteration that does not settle, or takes
@@ -136,21 +136,22 @@ def poly_roots(coeffs: list[complex]) -> list[complex]:
 @dataclass
 class ZeroSlice:
     variable: str
-    fixed: dict[str, complex]
-    coeffs: list[complex]
+    fixed: dict[str, float]
+    coeffs: list[float]
     roots: list[complex]
     nominal_degree: int
     actual_degree: int
 
 
-def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, complex],
+def zeros_in(p: MultiPoly, variable: str, fixed: dict[str, float],
              drop_tol: float = 0.0) -> ZeroSlice:
-    """Zero slice of p in one variable with the others numerically fixed.
+    """Zero slice of p in one variable with the others fixed at real values.
 
-    Every other variable p depends on must be in ``fixed``.  ``drop_tol``,
-    in [0, 1), treats top coefficients of relative magnitude at or below it
-    as vanished (useful when the fixed values are floats sitting on a locus
-    where the exact coefficient is zero).
+    Every other variable p depends on must be in ``fixed``; a complex value
+    raises TypeError.  ``drop_tol``, in [0, 1), treats top coefficients of
+    relative magnitude at or below it as vanished (useful when the fixed
+    values are floats sitting on a locus where the exact coefficient is
+    zero).
     """
     if not 0 <= drop_tol < 1:
         raise BadInputError(f"drop_tol wants a number in [0, 1), got {drop_tol}")
@@ -310,7 +311,7 @@ def q_shift_check(z: MultiPoly, s_val: float, v_val: float) -> bool:
         return False
     at1 = [c / at1[-1] for c in at1]
     at0 = [c / at0[-1] for c in at0]
-    shifted = [0j] * len(at1)
+    shifted = [0.0] * len(at1)
     for k, c in enumerate(at1):
         for j in range(k + 1):
             shifted[j] += c * math.comb(k, j) * (-s_val) ** (k - j)

@@ -116,6 +116,13 @@ def test_engine_choice_follows_frontier_width():
     assert frontier.plan(circuit_graph(8)) is None
 
 
+def test_sweep_of_the_empty_graph_has_no_steps():
+    g = Graph.make(0, [])
+    assert frontier.sweep(g, lambda k, d: 1, 0) == []
+    assert frontier.plan(g) == []
+    assert z_poly(g) == 1
+
+
 def test_no_six_bit_packing_limit():
     # 64 parallel edges: the walk refuses them, the engine sums them
     g = Graph.make(2, [(0, 1)] * 64)

@@ -41,11 +41,12 @@ def test_grid_strip():
 
 def test_make_family_dispatch():
     assert make_family("line", 3).e == 2
-    assert make_family("c4d", 4).e == 5
+    assert make_family("c4d", 4) == square_with_diagonal()
     with pytest.raises(ValueError):
         make_family("moebius", 4)
-    with pytest.raises(BadSizeError):
-        make_family("line", 0)
+    for kind, n in (("line", 0), ("c4d", 3), ("c4d", 5)):
+        with pytest.raises(BadSizeError):
+            make_family(kind, n)
 
 
 def test_edge_normalization_and_canonical_key():

@@ -293,7 +293,13 @@ def brute_count_table(g: Graph, q: int, s: int) -> list[list[int]]:
 
 
 @given(relabeled_multigraphs(), st.integers(0, 3))
+# the empty graph has one coloring for every q, q = 0 included; a graph
+# with a vertex has none at q = 0
+@example((Graph.make(0, []), Graph.make(0, [])), 0)
+@example((Graph.make(0, []), Graph.make(0, [])), 1)
 @example((Graph.make(0, []), Graph.make(0, [])), 2)
+@example((Graph.make(0, []), Graph.make(0, [])), 3)
+@example((Graph.make(2, [(0, 1), (1, 1)]), Graph.make(2, [(0, 0), (0, 1)])), 0)
 @example((Graph.make(3, [(0, 0), (0, 1), (0, 1), (2, 2)]),
           Graph.make(3, [(1, 2), (0, 0), (1, 1), (1, 2)])), 3)
 @settings(max_examples=60, deadline=None)

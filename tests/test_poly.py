@@ -107,6 +107,18 @@ def test_evaluate_accepts_fractions_and_floats():
     assert p.evaluate(q=2.0, w=0.5) == 3.5
 
 
+def test_univariate_takes_real_values_and_gives_floats():
+    p = Q ** 2 * S - W
+    coeffs = p.univariate("q", {"s": Fraction(1, 3), "w": 0.5})
+    assert coeffs == [-0.5, 0.0, 1 / 3]
+    assert all(type(c) is float for c in coeffs)
+    # v is not in p, so only the up-front check sees its complex value
+    for bad in ({"s": 1j, "w": 0.5}, {"s": 1.0, "w": complex(0.5, 0)},
+                {"s": 1.0, "w": 0.5, "v": 2j}):
+        with pytest.raises(TypeError):
+            p.univariate("q", bad)
+
+
 # -- structural helpers --------------------------------------------------------
 
 def test_reflection_inverts_exponents():

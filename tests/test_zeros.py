@@ -232,6 +232,11 @@ def test_drop_tol_outside_unit_interval_is_refused():
             zeros_in(p, "w", {"s": 1.0}, drop_tol=bad)
 
 
+def test_complex_fixed_value_is_refused():
+    with pytest.raises(TypeError):
+        zeros_in(ph_poly(line_graph(2)), "q", {"s": 1.0, "w": 0.5 + 0j})
+
+
 # -- order independence --------------------------------------------------------
 
 def _circulant_9_12(rng=None):
