@@ -31,6 +31,13 @@ cheapest under a cost the caller gives per step (k frontier vertices,
 the new one included, and d edges decided) and returns its steps: here
 the labelled Bell number of k times 1 + d, infinite past MAX_WIDTH; for
 the oracle q^k.  ``transfer_steps`` turns any order into those steps.
+
+MAX_WIDTH is 5.  That takes the circulants Cn(1,2) from n = 9, the
+prisms from 12 vertices and the 4xL grids from L = 4 off the walk, and
+leaves the complete graphs on it.  The work estimate counts states, not
+the terms each state holds, and past 5 it stops picking the faster
+engine: at 7, K7's estimate would fall below 2^21 and send it here,
+about 8x slower than the walk.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .graphs import Graph
 
 # Labelled Bell numbers sum_k S(m, k) 2^k: the most states a frontier of
 # m vertices can hold.
-_LABELLED_BELL = (1, 2, 6, 22, 94)
+_LABELLED_BELL = (1, 2, 6, 22, 94, 454)
 MAX_WIDTH = len(_LABELLED_BELL) - 1
 # The engine is chosen where 2^e exceeds its estimated work by this factor.
 # Against a walk over all 2^e subgraphs the two broke even near 4 (the 3x3
@@ -49,10 +56,8 @@ MAX_WIDTH = len(_LABELLED_BELL) - 1
 # engine to graphs where it should win about 4x, and small graphs on the
 # walk.  The walk visits only the spanning forests (at most 2^e), and the
 # engine still wins on the graphs this picks, planning included: 2.3x on
-# sq2x5, 8x on sq3x4, 90x on C20 (2 vCPUs; 1.1x, 5x and 32x on the same
-# host before w moved into the coefficient ints).  The factor is left as
-# it was on purpose, so that no graph changes engine: C10(1,2) must stay
-# on the walk that the parallel-scaling test times.
+# sq2x5, 8x on sq3x4, 90x on C20, 2x on C9(1,2) and 3.5-5.5x on
+# C10(1,2) (2 vCPUs).
 _STATE_COST = 16
 
 Step = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -189,8 +194,29 @@ def _put(layer: dict, state, poly: dict[int, int]) -> None:
         cur[k] = get(k, 0) + c
 
 
+def _retire(layer: dict, front: list[int], y: int, unit_s: int) -> dict:
+    """Drop ``y``, whose edges are all decided, from the frontier; its block
+    takes its factor if ``y`` was the block's last frontier vertex."""
+    i = front.index(y)
+    del front[i]
+    nxt: dict = {}
+    while layer:
+        st, poly = layer.popitem()
+        c = st[i]
+        rest = st[:i] + st[i + 1:]
+        if c not in rest:
+            poly = _shift(poly, unit_s if c & 1 else 1)
+        _put(nxt, _canon(rest), poly)
+    return nxt
+
+
 def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], int]:
-    """Z in the qt = q - s basis, as {(qt, s, v, w) exponents: coefficient}."""
+    """Z in the qt = q - s basis, as {(qt, s, v, w) exponents: coefficient}.
+
+    A vertex that a step retires leaves the frontier right after its last
+    edge, before the step's later edges, so those run on fewer states: on
+    C10(1,2) this halved the peak memory and took a third off the time.
+    """
     bits = max(g.n, g.e, 1).bit_length()
     mask = (1 << bits) - 1
     unit_s, unit_v = 1 << bits, 1 << 2 * bits
@@ -210,7 +236,7 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
             nxt[st + (b,)] = poly
         layer = nxt
         front.append(x)
-        for y in back:
+        for e, y in enumerate(back):
             i, j = front.index(y), len(front) - 1
             nxt = {}
             while layer:
@@ -227,18 +253,11 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
                     _put(nxt, st, poly)
                     _put(nxt, _canon(ci if c == cj else c for c in st), chosen)
             layer = nxt
-        for y in retire:
-            i = front.index(y)
-            del front[i]
-            nxt = {}
-            while layer:
-                st, poly = layer.popitem()
-                c = st[i]
-                rest = st[:i] + st[i + 1:]
-                if c not in rest:
-                    poly = _shift(poly, unit_s if c & 1 else 1)
-                _put(nxt, _canon(rest), poly)
-            layer = nxt
+            # a vertex that retires here, other than x, has its last edge to x
+            if y != x and y in retire and y not in back[e + 1:]:
+                layer = _retire(layer, front, y, unit_s)
+        if x in retire:
+            layer = _retire(layer, front, x, unit_s)
     (poly,) = layer.values()
     field = (1 << width) - 1
     out = {}

@@ -33,10 +33,10 @@ vertex caps.
   frontier; its cost grows with the length of the graph, not 2^e.
 
 ``z_poly`` chooses from the graph alone: the frontier engine when
-``frontier.plan`` finds an order whose frontier never exceeds 4 vertices
+``frontier.plan`` finds an order whose frontier never exceeds 5 vertices
 and whose estimated work is well below 2^e -- strips and circuits from
-about 13 edges on -- and the walk otherwise, as on complete graphs,
-circulants such as C10(1,2) and small graphs.  ``ph_poly``,
+about 13 edges on, circulants such as C10(1,2) and prisms -- and the walk
+otherwise, as on complete graphs and small graphs.  ``ph_poly``,
 ``zero_field_poly``, ``chromatic_poly`` and ``tutte_poly`` are slices of Z
 and go through that choice; ``zero_field_by_walk``, the walk's own
 zero-field decode, is kept as an independent reference for Z's assembly.

@@ -2,8 +2,10 @@
 
 The walk, called directly, is the reference: the engine must give the
 same polynomial on the fixture graphs, on random multigraphs in any
-vertex order, and under relabeling.  Larger circuits and 3xL grids are
-checked against closed forms and exact special values instead.
+vertex order, on the five-wide circulants and prisms, and under
+relabeling.  Larger circuits and 3xL grids are checked against closed
+forms and exact special values instead, and 24-edge graphs against the
+coloring oracle.
 """
 
 import random
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from chromfield import frontier
 from chromfield.families import z_circuit
 from chromfield.graphs import Graph, circuit_graph, complete_graph, grid_graph
-from chromfield.partition import (_counts_to_z, _qt_to_z, subgraph_counts,
-                                  z_poly)
+from chromfield.partition import (_counts_to_z, _qt_to_z, oracle_z,
+                                  subgraph_counts, z_poly)
 from chromfield.poly import Q, S, V, W
 
 QT = Q - S
@@ -40,6 +42,13 @@ def relabeled(g: Graph, rng: random.Random) -> Graph:
 
 def circulant(n: int, jumps) -> Graph:
     return Graph.make(n, [(i, (i + j) % n) for j in jumps for i in range(n)])
+
+
+def prism(n: int) -> Graph:
+    """Two n-circuits joined by a perfect matching."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.make(2 * n, ring + [(n + u, n + v) for u, v in ring]
+                      + [(i, n + i) for i in range(n)])
 
 
 def test_matches_walk_on_golden_fixture_graphs(catalog, golden_z, golden_ph):
@@ -104,9 +113,9 @@ def test_same_z_under_relabeling(seed):
 
 def test_engine_choice_follows_frontier_width():
     narrow = [grid_graph(2, 6), grid_graph(3, 4), grid_graph(2, 7),
-              circuit_graph(18), circuit_graph(20)]
-    wide = [complete_graph(6), complete_graph(7), circulant(9, (1, 2)),
-            circulant(10, (1, 2))]  # C10(1,2) is the criterion-9 graph
+              circuit_graph(18), circuit_graph(20), circulant(9, (1, 2)),
+              circulant(10, (1, 2)), prism(6), prism(7)]
+    wide = [complete_graph(6), complete_graph(7)]
     rng = random.Random(5)
     for g in narrow:
         assert frontier.plan(relabeled(g, rng)) is not None, g.name
@@ -114,6 +123,37 @@ def test_engine_choice_follows_frontier_width():
         assert frontier.plan(relabeled(g, rng)) is None, g.name
     # small graphs stay on the walk whatever their width
     assert frontier.plan(circuit_graph(8)) is None
+
+
+def test_labelled_bell_numbers():
+    # S(m, k) by its recurrence; a block is free or distinguished
+    stirling = [[1]]
+    for m in range(1, len(frontier._LABELLED_BELL)):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)])
+    assert frontier._LABELLED_BELL == tuple(
+        sum(c << k for k, c in enumerate(row)) for row in stirling)
+    assert frontier.MAX_WIDTH == 5
+
+
+def test_five_wide_graphs_match_walk():
+    # each needs a frontier of 5 vertices, the widest the engine takes
+    rng = random.Random(24)
+    for base in (circulant(9, (1, 2)), circulant(10, (1, 2)),
+                 circulant(11, (1, 2)), prism(6)):
+        g = relabeled(base, rng)
+        steps = frontier.plan(g)
+        assert steps is not None
+        assert _qt_to_z(frontier.transfer_z(g, steps)) == walk_z(g)
+
+
+def test_graphs_too_large_for_the_walk_match_oracle():
+    # 24 edges each; the walk took seconds on these, the engine milliseconds
+    for g in (grid_graph(4, 4), circulant(12, (1, 2))):
+        assert frontier.plan(g) is not None
+        z = z_poly(g)
+        for q, s in ((2, 1), (3, 1), (3, 2)):
+            assert z.substitute(q=q, s=s) == oracle_z(g, q, s, V, W), (q, s)
 
 
 def test_sweep_of_the_empty_graph_has_no_steps():
