@@ -218,6 +218,10 @@ def _cmd_strips(args) -> int:
 
 def _cmd_zeros(args) -> int:
     g = _load_graph(args)
+    # Ph is Z at v = -1: in ph mode v is neither free nor fixable
+    if args.mode == "ph" and args.var == "v":
+        raise BadInputError("--mode ph sets v = -1, so --var v has no slice; "
+                            "use --mode z")
     p = ph_poly(g) if args.mode == "ph" else z_poly(g)
     fixed = {}
     for item in (args.fix or "").split(","):
@@ -229,6 +233,9 @@ def _cmd_zeros(args) -> int:
             others = ", ".join(v for v in VARS if v != args.var)
             raise BadInputError(
                 f"--fix wants one of {others} (not --var {args.var}), got {name!r}")
+        if name == "v" and args.mode == "ph":
+            raise BadInputError("--mode ph sets v = -1, so --fix cannot set v; "
+                                "use --mode z")
         if name in fixed:
             raise BadInputError(f"--fix names {name} more than once")
         value = _fraction(val, f"--fix wants name=number, got {item!r}")

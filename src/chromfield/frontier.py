@@ -16,13 +16,18 @@ per vertex as it enters, the s when the block closes).  A chosen edge
 between blocks of different labels yields no term and is dropped; a
 block's factor is applied when its last frontier vertex retires.
 
-A state's polynomial in qt = q - s, s, v and w is a dict from packed
-(qt, s, v) exponents -- one int, each field as wide as max(n, e) needs --
-to an int that packs the whole polynomial in w (Kronecker substitution):
-the coefficient of w^d sits at bit d * (n + e + 1).  A vertex entering a
-distinguished block multiplies by w with one shift of each such int, and
-merging two states adds ints; ``transfer_z`` unpacks the fields at the
-end.  Every coefficient is exact and non-negative.
+A state's polynomial in qt = q - s, s, v and w is a dict from a packed
+key -- k, the number of blocks already closed, and the v exponent, each
+field as wide as max(n, e) needs -- to one int that packs the polynomial
+in s and w (Kronecker substitution): the count of s^j w^d sits at bit
+(j * (n + 1) + d) * (n + e + 1).  The split of the k closed blocks into
+free (qt) and distinguished (s) rides inside the int, so a state holds a
+few keys per v exponent, not one per (qt, s, v).  A vertex entering a
+distinguished block multiplies by w with one shift of each int, a closing
+block adds 1 to the key (and for a distinguished block multiplies by s,
+one shift by (n + 1) * (n + e + 1)), and merging two states adds ints;
+``transfer_z`` unpacks the slots at the end, qt's exponent being k - j.
+Every coefficient is exact and non-negative.
 
 The plan is shared with the coloring oracle in ``partition``, which sweeps
 the colors of the frontier in place of its partitions.  ``sweep`` builds
@@ -37,7 +42,7 @@ prisms from 12 vertices and the 4xL grids from L = 4 off the walk, and
 leaves the complete graphs on it.  The work estimate counts states, not
 the terms each state holds, and past 5 it stops picking the faster
 engine: at 7, K7's estimate would fall below 2^21 and send it here,
-about 8x slower than the walk.
+about 3x slower than the walk (139 against 48 ms, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ MAX_WIDTH = len(_LABELLED_BELL) - 1
 # grid: 1130 units of work, 4096 leaves, equal times), so 16 keeps the
 # engine to graphs where it should win about 4x, and small graphs on the
 # walk.  The walk visits only the spanning forests (at most 2^e), and the
-# engine still wins on the graphs this picks, planning included: 2.3x on
-# sq2x5, 8x on sq3x4, 90x on C20, 2x on C9(1,2) and 3.5-5.5x on
-# C10(1,2) (2 vCPUs).
+# engine still wins on the graphs this picks, planning included: 2.2x on
+# sq2x5, 7x on sq3x4, 60x on C20, 3x on C9(1,2) and 8x on C10(1,2)
+# (2 vCPUs, median of 3-7 calls).
 _STATE_COST = 16
 
 Step = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -194,19 +199,28 @@ def _put(layer: dict, state, poly: dict[int, int]) -> None:
         cur[k] = get(k, 0) + c
 
 
-def _retire(layer: dict, front: list[int], y: int, unit_s: int) -> dict:
+def _retire(layer: dict, front: list[int], y: int, moves: dict,
+            close_s: int) -> dict:
     """Drop ``y``, whose edges are all decided, from the frontier; its block
-    takes its factor if ``y`` was the block's last frontier vertex."""
+    closes if ``y`` was the block's last frontier vertex: one more closed
+    block in the key, and for a distinguished block one more s, a shift
+    of the value by ``close_s`` bits."""
     i = front.index(y)
     del front[i]
     nxt: dict = {}
     while layer:
         st, poly = layer.popitem()
-        c = st[i]
-        rest = st[:i] + st[i + 1:]
-        if c not in rest:
-            poly = _shift(poly, unit_s if c & 1 else 1)
-        _put(nxt, _canon(rest), poly)
+        move = moves.get((st, i))
+        if move is None:
+            c = st[i]
+            rest = st[:i] + st[i + 1:]
+            move = moves[st, i] = (_canon(rest), None if c in rest else c & 1)
+        to, label = move
+        if label == 1:
+            poly = {k + 1: c << close_s for k, c in poly.items()}
+        elif label == 0:
+            poly = _shift(poly, 1)
+        _put(nxt, to, poly)
     return nxt
 
 
@@ -216,17 +230,25 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
     A vertex that a step retires leaves the frontier right after its last
     edge, before the step's later edges, so those run on fewer states: on
     C10(1,2) this halved the peak memory and took a third off the time.
+    A state's terms are keyed by (closed blocks, v) with the s and w
+    exponents packed into each coefficient int, as the module docstring
+    says.  Each state move -- a merge of two blocks, a retirement -- is
+    canonicalized once per call and then looked up.
     """
-    bits = max(g.n, g.e, 1).bit_length()
+    n = g.n
+    bits = max(n, g.e, 1).bit_length()
     mask = (1 << bits) - 1
-    unit_s, unit_v = 1 << bits, 1 << 2 * bits
-    # w^d's coefficient sits at bit d * width of the packed coefficient.
-    # A field never carries into the next: every coefficient counts (edge
+    unit_v = 1 << bits
+    # s^j w^d's count sits at bit (j * (n + 1) + d) * width of the packed
+    # value.  A slot never carries into the next: every count is of (edge
     # subset, block label) configurations, at most 2^(n+e) < 2^width, and
     # no coefficient in the qt basis is negative.
-    width = g.n + g.e + 1
+    width = n + g.e + 1
+    row = (n + 1) * width
     front: list[int] = []
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    merges: dict = {}
+    retires: dict = {}
     for x, back, retire in steps:
         nxt: dict = {}
         while layer:
@@ -251,22 +273,31 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
                 else:
                     chosen = _shift(poly, unit_v)
                     _put(nxt, st, poly)
-                    _put(nxt, _canon(ci if c == cj else c for c in st), chosen)
+                    to = merges.get((st, ci, cj))
+                    if to is None:
+                        to = merges[st, ci, cj] = _canon(
+                            ci if c == cj else c for c in st)
+                    _put(nxt, to, chosen)
             layer = nxt
             # a vertex that retires here, other than x, has its last edge to x
             if y != x and y in retire and y not in back[e + 1:]:
-                layer = _retire(layer, front, y, unit_s)
+                layer = _retire(layer, front, y, retires, row)
         if x in retire:
-            layer = _retire(layer, front, x, unit_s)
+            layer = _retire(layer, front, x, retires, row)
     (poly,) = layer.values()
-    field = (1 << width) - 1
+    field, row_field = (1 << width) - 1, (1 << row) - 1
     out = {}
-    for k, c in poly.items():
-        a, se, ve = k & mask, (k >> bits) & mask, k >> 2 * bits
-        d = 0
-        while c:
-            if c & field:
-                out[a, se, ve, d] = c & field
-            c >>= width
-            d += 1
+    for key, c in poly.items():
+        k, ve = key & mask, key >> bits
+        se = 0
+        while c:  # one row of slots per s exponent, zero slots skipped
+            r = c & row_field
+            while r:
+                at = (r & -r).bit_length() - 1
+                at -= at % width
+                part = (r >> at) & field
+                out[k - se, se, ve, at // width] = part
+                r ^= part << at
+            c >>= row
+            se += 1
     return out

@@ -372,6 +372,21 @@ def test_fix_name_not_a_free_variable_exit_two(capsys, fix):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--var", "v", "--fix", "q=3,s=1,w=1"],
+    ["--var", "q", "--mode", "ph", "--fix", "s=1,w=1,v=2"],
+])
+def test_ph_mode_refuses_v_exit_two(capsys, argv):
+    # Ph is Z at v = -1: solving for v would print no roots, and a fixed v
+    # would be echoed back while the roots are those of v = -1
+    code, out, err = run_cli(capsys, ["zeros", "--family", "circuit:3", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--mode z" in err
+    code, out, err = run_cli(capsys, ["zeros", "--family", "circuit:3",
+                                      *argv, "--mode", "z"])
+    assert code == 0, err
+
+
 _fix_items = st.tuples(
     st.sampled_from(["q", "s", "v", "w", "x", " w ", ""]) | st.text(max_size=3),
     st.sampled_from(["=", "", "=="]),

@@ -8,6 +8,7 @@ forms and exact special values instead, and 24-edge graphs against the
 coloring oracle.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -191,3 +192,21 @@ def test_three_row_grids(monkeypatch):
     # one side of 12 vertices in the distinguished color
     assert z.substitute(q=2, s=1, v=-1) == 2 * W ** 12
     assert z.substitute(s=Q) == W ** g.n * z.substitute(s=0)
+
+
+def test_null_graphs_fill_the_top_slot():
+    # each isolated vertex is free (qt) or distinguished (s w), so the
+    # packed value of N_n reaches s^n w^n, its highest slot
+    for n in range(1, 13):
+        g = Graph.make(n, [])
+        want = {(n - j, j, 0, j): math.comb(n, j) for j in range(n + 1)}
+        assert frontier.transfer_z(g, frontier.transfer_steps(g, range(n))) == want
+
+
+def test_loops_on_one_vertex():
+    # (qt + s w) (1 + v)^e: every loop closes a cycle in either block label
+    for e in range(9):
+        g = Graph.make(1, [(0, 0)] * e)
+        want = {(1 - t, t, d, t): math.comb(e, d)
+                for t in (0, 1) for d in range(e + 1)}
+        assert frontier.transfer_z(g, frontier.transfer_steps(g, [0])) == want
