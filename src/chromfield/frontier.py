@@ -37,12 +37,17 @@ the new one included, and d edges decided) and returns its steps: here
 the labelled Bell number of k times 1 + d, infinite past MAX_WIDTH; for
 the oracle q^k.  ``transfer_steps`` turns any order into those steps.
 
-MAX_WIDTH is 5.  That takes the circulants Cn(1,2) from n = 9, the
-prisms from 12 vertices and the 4xL grids from L = 4 off the walk, and
-leaves the complete graphs on it.  The work estimate counts states, not
-the terms each state holds, and past 5 it stops picking the faster
-engine: at 7, K7's estimate would fall below 2^21 and send it here,
-about 3x slower than the walk (139 against 48 ms, 2 vCPUs).
+MAX_WIDTH is 5.  ``plan`` takes the circulants Cn(1,2) from n = 11, the
+prisms from 12 vertices and the 4xL grids from L = 4; the complete
+graphs from K5, C9(1,2) and C10(1,2) go to the subset sum in
+``partition``, whose estimate of 2 * 3^k summed over the components caps
+the budget ``plan`` is given.  The work estimate counts states, not the
+terms each state holds.  Against 2^e alone a width of 7 would have sent
+K7 here (16 times its work is 1 868 864, below 2^21), about 3x slower
+than the walk; against that cap no wide step fits on a small graph: 16
+times one step of width 6 (2 430 states) passes 2 * 3^k for every
+component of fewer than 9 vertices, and of width 7 (14 214 states) for
+fewer than 11.
 """
 
 from __future__ import annotations
@@ -55,14 +60,18 @@ from .graphs import Graph
 # m vertices can hold.
 _LABELLED_BELL = (1, 2, 6, 22, 94, 454)
 MAX_WIDTH = len(_LABELLED_BELL) - 1
-# The engine is chosen where 2^e exceeds its estimated work by this factor.
-# Against a walk over all 2^e subgraphs the two broke even near 4 (the 3x3
-# grid: 1130 units of work, 4096 leaves, equal times), so 16 keeps the
-# engine to graphs where it should win about 4x, and small graphs on the
-# walk.  The walk visits only the spanning forests (at most 2^e), and the
-# engine still wins on the graphs this picks, planning included: 2.2x on
-# sq2x5, 7x on sq3x4, 60x on C20, 3x on C9(1,2) and 8x on C10(1,2)
-# (2 vCPUs, median of 3-7 calls).
+# The engine is chosen where the other engines' estimated work -- the
+# smaller of 2^e for the walk and 2 * 3^k summed over the components for
+# the subset sum -- exceeds its own by this factor.  Against a walk over
+# all 2^e subgraphs the two broke even near 4 (the 3x3 grid: 1130 units
+# of work, 4096 leaves, equal times), so 16 keeps the engine to graphs
+# where it should win about 4x, and small graphs off it.  The walk visits
+# only the spanning forests (at most 2^e), and the engine still wins on
+# the graphs this picks, planning included: 2.2x on sq2x5, 7x on sq3x4
+# and 60x on C20 (2 vCPUs, median of 3-7 calls).  Against the subset sum
+# the same factor falls near the break-even: C10(1,2) (16 times its work
+# is 158 336, against 2 * 3^10 = 118 098) runs faster as a subset sum,
+# C11(1,2) (180 128 against 354 294) faster here.
 _STATE_COST = 16
 
 Step = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -139,17 +148,19 @@ def sweep(g: Graph, weight, limit) -> list[Step] | None:
     return None if order is None else transfer_steps(g, order)
 
 
-def plan(g: Graph) -> list[Step] | None:
-    """Transfer steps for ``g``, or None where the walk should be used.
+def plan(g: Graph, budget: int) -> list[Step] | None:
+    """Transfer steps for ``g``, or None where another engine should be used.
 
     The frontier engine is chosen when ``sweep`` finds an order that keeps
     every frontier at MAX_WIDTH vertices or fewer and whose estimated work
     -- the sum over steps of the labelled Bell number of the frontier times
-    one plus the edges decided -- times _STATE_COST is below 2^e, the bound
-    on the walk's leaves.  The choice depends on the graph alone, not on
-    its labels or an option.
+    one plus the edges decided -- times _STATE_COST is below ``budget``,
+    the other engines' estimated work.  ``partition.z_poly`` passes the
+    smaller of 2^e, the bound on the walk's leaves, and the subset sum's
+    2 * 3^k summed over the components.  The choice depends on the graph
+    alone, not on its labels or an option.
     """
-    limit = (1 << g.e) // _STATE_COST
+    limit = budget // _STATE_COST
     if 2 * (g.n + g.e) > limit:
         return None
     return sweep(g, lambda k, d: _LABELLED_BELL[k] * (1 + d)

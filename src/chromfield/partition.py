@@ -11,9 +11,9 @@ chromatic polynomial Ph(G, q, s, w): the sum over proper q-colorings of
 w^{#vertices colored from the distinguished set {1..s}}.  Setting s = 0 (or
 w = 1) recovers the random-cluster form sum v^{e'} q^{k'}.
 
-Two engines compute Z; both assemble it in the basis qt = q - s and convert
-to (q, s, v, w) once at the end, and both are bound by the same edge and
-vertex caps.
+Three engines compute Z; all assemble it in the basis qt = q - s and
+convert to (q, s, v, w) once at the end, and all are bound by the same
+edge and vertex caps.
 
 - The walk (``subgraph_counts``) goes depth-first over the edges with a
   rollback union-find and branches only on edges that join two
@@ -28,15 +28,22 @@ vertex caps.
   one precomputed int to them, so a leaf costs one OR and one count.  It
   is the only engine with a parallel path: one task function starts every
   walk, the serial walk being the one task with no forced prefix.
+- The vertex-subset sum (``_subset_counts``) gives the walk's counters
+  from about 3^k products over the vertex subsets of each k-vertex
+  component, whatever the edge count; it shares the walk's 6-bit edge
+  field and its 63-edge limit.
 - The frontier transfer engine (``frontier``) sweeps the vertices in a
   greedy minimum-frontier order and keeps labelled set partitions of the
   frontier; its cost grows with the length of the graph, not 2^e.
 
-``z_poly`` chooses from the graph alone: the frontier engine when
-``frontier.plan`` finds an order whose frontier never exceeds 5 vertices
-and whose estimated work is well below 2^e -- strips and circuits from
-about 13 edges on, circulants such as C10(1,2) and prisms -- and the walk
-otherwise, as on complete graphs and small graphs.  ``ph_poly``,
+``z_poly`` chooses from the graph alone, by one rule over three work
+estimates: 2^e for the walk, 2 * 3^k summed over the components for the
+subset sum, and for the transfer ``frontier.plan``'s estimate, which must
+be well below the smaller of the other two.  Strips and circuits from
+about 13 edges on, C11(1,2) and larger circulants and the prisms from 12
+vertices take the transfer; failing that, the subset sum runs where its
+estimate is below 2^e -- complete graphs from K5, C9(1,2), C10(1,2) --
+and the walk runs on the rest, small and sparse graphs.  ``ph_poly``,
 ``zero_field_poly``, ``chromatic_poly`` and ``tutte_poly`` are slices of Z
 and go through that choice; ``zero_field_by_walk``, the walk's own
 zero-field decode, is kept as an independent reference for Z's assembly.
@@ -256,6 +263,85 @@ def subgraph_counts(g: Graph, workers: int = 1) -> dict[int, int]:
     return _expand(merged)
 
 
+def _subset_counts(g: Graph) -> dict[int, int]:
+    """The counters of ``subgraph_counts`` by a sum over vertex subsets
+    (Björklund, Husfeldt, Kaski & Koivisto, FOCS 2008): about 3^k big-int
+    products on a component of k vertices, whatever its edge count.
+
+    A polynomial in v is one int, e + 1 bits per power of v, since a count
+    of edge subsets never exceeds 2^e.  On a component, for each vertex set
+    S with e(S) edges inside it (loops and parallel edges included),
+    A(S) = (1 + v)^e(S) sums every subgraph on S; the connected ones sum to
+    C(S) = A(S) - sum C(T) A(S - T) over proper T containing min(S); and
+    F(S) = sum C(T) F(S - T) over T containing min(S), with one size-|T|
+    component added to the multiset key, sums them all by multiset.  F is
+    needed only on sets without the component's first vertex and on the
+    whole.  The components' F combine by adding keys and multiplying the
+    polynomials; the slots are read out once at the end.
+    """
+    if g.e > _CNT_MASK:
+        raise CapExceededError(
+            f"{g.e} edges exceeds the walk's packing limit of {_CNT_MASK}")
+    b = g.e + 1
+    y = (1 << b) + 1  # 1 + v
+    grow = [y ** i for i in range(g.e + 1)]
+    total = {0: 1}
+    for comp in g.components():
+        at = {x: i for i, x in enumerate(comp)}
+        ends: list[list[int]] = [[] for _ in comp]  # other ends not below
+        for u, v in g.edges:
+            if u in at:
+                i, j = sorted((at[u], at[v]))
+                ends[i].append(1 << j)
+        full = (1 << len(comp)) - 1
+        a = [1] * (full + 1)  # A(S)
+        conn = [0] * (full + 1)  # C(S)
+        for s in range(1, full + 1):
+            low = s & -s
+            rest = s ^ low
+            c = a[s] = a[rest] * grow[sum(
+                1 for bit in ends[low.bit_length() - 1] if bit & s)]
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                c -= conn[low | sub] * a[rest ^ sub]
+            conn[s] = c
+        forests: dict[int, dict[int, int]] = {0: {0: 1}}  # F(S)
+        for s in [*range(2, full, 2), full]:
+            low = s & -s
+            rest = s ^ low
+            acc: dict[int, int] = {}
+            get = acc.get
+            sub = rest
+            while True:
+                t = low | sub
+                c = conn[t]
+                if c:  # zero where T is not connected
+                    unit = 1 << (_CNT_BITS * t.bit_count())
+                    for key, p in forests[rest ^ sub].items():
+                        key += unit
+                        acc[key] = get(key, 0) + c * p
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            forests[s] = acc
+        prod: dict[int, int] = {}
+        for k1, p1 in total.items():
+            for k2, p2 in forests[full].items():
+                prod[k1 + k2] = prod.get(k1 + k2, 0) + p1 * p2
+        total = prod
+    out = {}
+    slot = (1 << b) - 1
+    for key, p in total.items():
+        m = 0
+        while p:
+            if p & slot:
+                out[key << _CNT_BITS | m] = p & slot
+            p >>= b
+            m += 1
+    return out
+
+
 def _decode_multiset(key: int, n: int) -> list[tuple[int, int]]:
     out = []
     for sz in range(1, n + 1):
@@ -317,15 +403,22 @@ def _qt_to_z(acc: dict[tuple[int, int, int, int], int]) -> MultiPoly:
 def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
     """Z(G, q, s, v, w) as an exact polynomial.
 
-    Uses the frontier transfer engine where ``frontier.plan`` finds a
-    narrow vertex order, else the subgraph walk (``workers`` applies only
-    to the walk).
+    The engine is chosen from the graph alone: the frontier transfer where
+    ``frontier.plan`` finds an order whose work is well below both other
+    estimates, else the vertex-subset sum where 2 * 3^k summed over the
+    components is below 2^e, else the walk (``workers`` applies only to
+    the walk).
     """
     _check_input(g, workers)
-    steps = frontier.plan(g)
+    walk = 1 << g.e
+    subsets = 2 * sum(3 ** len(c) for c in g.components())
+    # past 63 edges the subset sum cannot pack m, so there the transfer
+    # is held only to the walk's bound
+    steps = frontier.plan(g, min(walk, subsets) if g.e <= _CNT_MASK else walk)
     if steps is not None:
         return _qt_to_z(frontier.transfer_z(g, steps))
-    return _counts_to_z(subgraph_counts(g, workers), g.n)
+    counts = _subset_counts(g) if subsets < walk else subgraph_counts(g, workers)
+    return _counts_to_z(counts, g.n)
 
 
 def ph_poly(g: Graph, workers: int = 1) -> MultiPoly:

@@ -9,9 +9,11 @@ import os
 import signal
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from chromfield import frontier, partition
 from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                line_graph, null_graph, square_with_diagonal,
                                star_graph)
@@ -59,6 +61,28 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def engine_of(g: Graph):
+    """The engine ``z_poly`` runs on ``g`` -- "transfer", "subsets" or
+    "walk" -- and the Z it returns: each engine is wrapped to record its
+    calls, and runs as it would."""
+    taken = []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            taken.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    with mock.patch.object(frontier, "transfer_z", spy("transfer", frontier.transfer_z)), \
+            mock.patch.object(partition, "_subset_counts",
+                              spy("subsets", partition._subset_counts)), \
+            mock.patch.object(partition, "subgraph_counts",
+                              spy("walk", partition.subgraph_counts)):
+        z = partition.z_poly(g)
+    (engine,) = taken
+    return engine, z
 
 
 def fresh_env() -> dict[str, str]:

@@ -416,7 +416,7 @@ def test_criterion_9_parallel_scaling():
         g = _circulant_two_chord()
         ratios = []
         for _ in range(SCALING_PAIRS):
-            # the walk itself: z_poly takes the frontier engine on this graph
+            # the walk itself: z_poly takes the vertex-subset sum on this graph
             t0 = time.perf_counter()
             single = subgraph_counts(g, workers=1)
             t1 = time.perf_counter()

@@ -500,6 +500,16 @@ def test_bad_edge_cap_setting_exit_two(capsys, monkeypatch):
     assert err.startswith("error: CHROMFIELD_EDGE_CAP")
 
 
+def test_edge_count_past_the_packing_limit_is_refused(capsys, monkeypatch):
+    # K12's 66 edges would spill out of the 6-bit edge count that the
+    # subset sum, which z_poly picks for it, and the walk share
+    monkeypatch.setenv("CHROMFIELD_EDGE_CAP", "70")
+    with time_limit(10):
+        code, out, err = run_cli(capsys, ["compute", "--family", "complete:12"])
+    assert code == 1 and out == ""
+    assert err == "error: 66 edges exceeds the walk's packing limit of 63\n"
+
+
 def test_missing_graph_argument_aborts():
     with pytest.raises(SystemExit):
         main(["compute", "--mode", "z"])

@@ -14,9 +14,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import engine_of
 from chromfield import frontier
 from chromfield.families import z_circuit
-from chromfield.graphs import Graph, circuit_graph, complete_graph, grid_graph
+from chromfield.graphs import (Graph, circuit_graph, complete_graph, grid_graph,
+                               star_graph)
 from chromfield.partition import (_counts_to_z, _qt_to_z, oracle_z,
                                   subgraph_counts, z_poly)
 from chromfield.poly import Q, S, V, W
@@ -97,8 +99,13 @@ def banded_multigraphs(draw):
 @given(banded_multigraphs())
 @settings(max_examples=15, deadline=None)
 def test_z_poly_picks_the_engine_on_narrow_multigraphs(g):
-    assert frontier.plan(g) is not None
-    assert z_poly(g) == walk_z(g)
+    # planned against the walk alone; z_poly may take the subset sum on
+    # the smaller ones, so the transfer on the planned steps is checked too
+    steps = frontier.plan(g, 1 << g.e)
+    assert steps is not None
+    want = walk_z(g)
+    assert _qt_to_z(frontier.transfer_z(g, steps)) == want
+    assert z_poly(g) == want
 
 
 @given(st.integers(0, 2 ** 32))
@@ -108,8 +115,7 @@ def test_same_z_under_relabeling(seed):
     for base, want in ((grid_graph(2, 5), walk_z(grid_graph(2, 5))),
                        (circuit_graph(16), z_circuit(16))):
         g = relabeled(base, rng)
-        assert frontier.plan(g) is not None
-        assert z_poly(g) == want
+        assert engine_of(g) == ("transfer", want)
 
 
 def test_engine_choice_follows_frontier_width():
@@ -118,12 +124,32 @@ def test_engine_choice_follows_frontier_width():
               circulant(10, (1, 2)), prism(6), prism(7)]
     wide = [complete_graph(6), complete_graph(7)]
     rng = random.Random(5)
+    # planned against the walk alone, whose bound on its work is 2^e
     for g in narrow:
-        assert frontier.plan(relabeled(g, rng)) is not None, g.name
+        assert frontier.plan(relabeled(g, rng), 1 << g.e) is not None, g.name
     for g in wide:
-        assert frontier.plan(relabeled(g, rng)) is None, g.name
+        assert frontier.plan(relabeled(g, rng), 1 << g.e) is None, g.name
     # small graphs stay on the walk whatever their width
-    assert frontier.plan(circuit_graph(8)) is None
+    assert frontier.plan(circuit_graph(8), 1 << 8) is None
+
+
+def test_engine_choice_names_each_engine():
+    # the transfer against the cheaper of 2^e and 2 * 3^n: the subset sum
+    # takes the complete graphs and C9(1,2), C10(1,2) from both others
+    panel = {
+        "subsets": [complete_graph(n) for n in range(5, 9)]
+        + [circulant(9, (1, 2)), circulant(10, (1, 2))],
+        "transfer": [circulant(11, (1, 2)), circulant(12, (1, 2)),
+                     grid_graph(2, 6), grid_graph(3, 4), grid_graph(2, 7),
+                     circuit_graph(18), circuit_graph(20), prism(6), prism(7)],
+        "walk": [circuit_graph(8), grid_graph(3, 3), complete_graph(4),
+                 star_graph(6)],
+    }
+    rng = random.Random(26)
+    for engine, graphs in panel.items():
+        for g in graphs:
+            for _ in range(2):
+                assert engine_of(relabeled(g, rng))[0] == engine, (g.name, engine)
 
 
 def test_labelled_bell_numbers():
@@ -143,7 +169,9 @@ def test_five_wide_graphs_match_walk():
     for base in (circulant(9, (1, 2)), circulant(10, (1, 2)),
                  circulant(11, (1, 2)), prism(6)):
         g = relabeled(base, rng)
-        steps = frontier.plan(g)
+        # planned against the walk alone: z_poly takes the subset sum on
+        # C9(1,2) and C10(1,2)
+        steps = frontier.plan(g, 1 << g.e)
         assert steps is not None
         assert _qt_to_z(frontier.transfer_z(g, steps)) == walk_z(g)
 
@@ -151,8 +179,8 @@ def test_five_wide_graphs_match_walk():
 def test_graphs_too_large_for_the_walk_match_oracle():
     # 24 edges each; the walk took seconds on these, the engine milliseconds
     for g in (grid_graph(4, 4), circulant(12, (1, 2))):
-        assert frontier.plan(g) is not None
-        z = z_poly(g)
+        engine, z = engine_of(g)
+        assert engine == "transfer"
         for q, s in ((2, 1), (3, 1), (3, 2)):
             assert z.substitute(q=q, s=s) == oracle_z(g, q, s, V, W), (q, s)
 
@@ -160,14 +188,14 @@ def test_graphs_too_large_for_the_walk_match_oracle():
 def test_sweep_of_the_empty_graph_has_no_steps():
     g = Graph.make(0, [])
     assert frontier.sweep(g, lambda k, d: 1, 0) == []
-    assert frontier.plan(g) == []
+    assert frontier.plan(g, 1) == []
     assert z_poly(g) == 1
 
 
 def test_no_six_bit_packing_limit():
     # 64 parallel edges: the walk refuses them, the engine sums them
     g = Graph.make(2, [(0, 1)] * 64)
-    assert frontier.plan(g) is not None
+    assert frontier.plan(g, 1 << g.e) is not None
     one = QT + S * W
     assert frontier_z(g) == one * one + ((1 + V) ** 64 - 1) * (QT + S * W ** 2)
 

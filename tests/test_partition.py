@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
-from chromfield import frontier, partition
+from conftest import engine_of, time_limit
+from chromfield import partition
 from chromfield.errors import (BadDecompositionError, BadInputError,
                                CapExceededError, LoopyGraphError)
 from chromfield.families import z_line
@@ -113,6 +113,28 @@ def test_subgraph_counts_match_brute_force(g):
     want = brute_subgraph_counts(g)
     assert subgraph_counts(g, workers=1) == want
     assert subgraph_counts(g, workers=2) == want
+    assert partition._subset_counts(g) == want
+
+
+@st.composite
+def multigraph_unions(draw):
+    """Disjoint unions of two multigraphs (loops and parallel edges) and
+    up to two isolated vertices, too many edges for the brute force."""
+    g = Graph.make(0, [])
+    for _ in range(2):
+        n = draw(st.integers(1, 5))
+        ends = st.integers(0, n - 1)
+        g = g.disjoint_union(Graph.make(n, draw(st.lists(st.tuples(ends, ends),
+                                                         max_size=9))))
+    return g.add_isolated(draw(st.integers(0, 2)))
+
+
+@given(multigraph_unions())
+@example(Graph.make(8, [(u, v) for u in range(7) for v in range(u + 1, 7)]
+                    + [(0, 0), (0, 1), (2, 2)]))  # K7, a loop, a parallel edge and K1
+@settings(max_examples=30, deadline=None)
+def test_subset_counts_match_walk(g):
+    assert partition._subset_counts(g) == subgraph_counts(g)
 
 
 @given(multigraphs())
@@ -441,7 +463,15 @@ def test_slices_match_walk_on_multigraphs(g):
 @pytest.mark.parametrize("g", [grid_graph(2, 5), circuit_graph(14),
                                grid_graph(2, 7)], ids=["sq2x5", "C14", "sq2x7"])
 def test_slices_match_walk_on_frontier_graphs(g):
-    assert frontier.plan(g) is not None  # Z comes from the frontier engine
+    assert engine_of(g)[0] == "transfer"
+    assert_slices_match_walk(g)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_slices_match_walk_on_complete_graphs(n):
+    # Z from the subset sum, the reference from the walk
+    g = complete_graph(n)
+    assert engine_of(g)[0] == "subsets"
     assert_slices_match_walk(g)
 
 
@@ -470,8 +500,22 @@ def test_walk_refuses_more_edges_than_its_key_packing(monkeypatch):
         subgraph_counts(g)
     with pytest.raises(CapExceededError):
         zero_field_by_walk(g)
+    with pytest.raises(CapExceededError, match="packing limit of 63"):
+        partition._subset_counts(g)
     # Z itself runs on the frontier engine, which packs no edge counts
     assert zero_field_poly(g) == Q ** 2 + Q * ((ONE + V) ** 64 - 1)
+
+
+def test_complete_graph_past_the_default_cap(monkeypatch):
+    # K9's 36 edges: the subset sum holds 2 * 3^9 products against the
+    # walk's 2^36 bound, and K9 is too wide for the transfer
+    monkeypatch.setenv("CHROMFIELD_EDGE_CAP", "40")
+    g = complete_graph(9)
+    with time_limit(10):
+        engine, z = engine_of(g)
+    assert engine == "subsets"
+    for q, s in ((2, 1), (3, 1), (3, 2), (4, 2)):
+        assert z.substitute(q=q, s=s) == oracle_z(g, q, s, V, W), (q, s)
 
 
 def test_oracle_state_cap():
