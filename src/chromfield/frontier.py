@@ -10,11 +10,14 @@ the frontier -- entered vertices that have not retired -- matters between
 steps, and the state is the set partition of the frontier that the chosen
 edges induce.
 
-Each block carries a label, picked when its first vertex enters: free,
-for a component's factor q - s, or distinguished, for s * w^size (one w
-per vertex as it enters, the s when the block closes).  A chosen edge
-between blocks of different labels yields no term and is dropped; a
-block's factor is applied when its last frontier vertex retires.
+Each block carries a label: free, for a component's factor q - s, or
+distinguished, for s * w^size (one w per vertex as it gets the label,
+the s when the block closes).  A vertex enters unlabelled and alone.  Its
+first chosen edge puts it in an earlier vertex's block, whose label it
+takes; if it is still alone after its step, it is split into a free and
+a distinguished block then.  A chosen edge between blocks of different
+labels yields no term and is dropped; a block's factor is applied when
+its last frontier vertex retires.
 
 A state's polynomial in qt = q - s, s, v and w is a dict from a packed
 key -- k, the number of blocks already closed, and the v exponent, each
@@ -67,58 +70,80 @@ MAX_WIDTH = len(_LABELLED_BELL) - 1
 # of work, 4096 leaves, equal times), so 16 keeps the engine to graphs
 # where it should win about 4x, and small graphs off it.  The walk visits
 # only the spanning forests (at most 2^e), and the engine still wins on
-# the graphs this picks, planning included: 2.2x on sq2x5, 7x on sq3x4
-# and 60x on C20 (2 vCPUs, median of 3-7 calls).  Against the subset sum
-# the same factor falls near the break-even: C10(1,2) (16 times its work
-# is 158 336, against 2 * 3^10 = 118 098) runs faster as a subset sum,
-# C11(1,2) (180 128 against 354 294) faster here.
+# the graphs this picks, planning included: 2.3-2.6x on sq2x5, 8-9x on
+# sq3x4 and 45-70x on C20 (2 vCPUs, median of 3-9 calls, three runs).
+# Against the subset sum the same factor falls near the break-even:
+# C10(1,2) (16 times its work is 158 336, against 2 * 3^10 = 118 098)
+# runs as fast as a subset sum (0.94-1.03x), and C11(1,2) (180 128
+# against 354 294) about 2x faster here.
 _STATE_COST = 16
 
 Step = tuple[int, tuple[int, ...], tuple[int, ...]]
+# The code of a frontier vertex that has no label yet: the newest vertex
+# while no chosen edge has joined it to an earlier one.
+_ALONE = -1
 
 
-def _greedy(n: int, nbrs: list[set[int]], ends: list[list[int]], start: int,
-            weight, limit) -> tuple[list[int], int] | None:
+def _greedy(n: int, nbrs: list[int], ends: list[list[int]], by_degree: list[int],
+            ones: int, start: int, weight, limit) -> tuple[list[int], int] | None:
     """One order from ``start`` and its work; None once the work passes
     ``limit``.
 
     Each step places the frontier neighbour that leaves the smallest
     frontier, preferring one joined to more frontier vertices; a new
-    component starts at its lowest-degree vertex.
+    component starts at its lowest-degree vertex.  Vertex sets are int
+    bitmasks: ``nbrs[u]`` holds u's distinct neighbours, ``ends[u]`` one
+    mask per edge multiplicity (u itself for its loops), and ``ones`` the
+    vertices with one neighbour not yet placed.
     """
-    open_nbrs = [len(s) for s in nbrs]  # neighbours not yet placed
-    placed = [False] * n
-    front: set[int] = set()
+    open_nbrs = [m.bit_count() for m in nbrs]  # neighbours not yet placed
+    placed = front = reach = 0
     order: list[int] = []
     work = 0
     v = start
     while True:
-        placed[v] = True
+        bit = 1 << v
+        placed |= bit
         order.append(v)
-        work += weight(len(front) + 1, sum(placed[u] for u in ends[v]))
+        d = 0
+        for m in ends[v]:
+            d += (placed & m).bit_count()
+        work += weight(front.bit_count() + 1, d)
         if work > limit:
             return None
-        for u in nbrs[v]:
-            open_nbrs[u] -= 1
-            if not open_nbrs[u]:
-                front.discard(u)
+        reach |= nbrs[v]
+        rest = nbrs[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            left = open_nbrs[u] = open_nbrs[u] - 1
+            if left == 1:
+                ones |= low
+            elif not left:
+                ones &= ~low
+                front &= ~low
         if open_nbrs[v]:
-            front.add(v)
+            front |= bit
         if len(order) == n:
             return order, work
+        # a placed vertex outside the frontier has no unplaced neighbour
+        cand = reach & ~placed
+        if not cand:
+            v = next(x for x in by_degree if not placed >> x & 1)
+            continue
+        size = front.bit_count()
         best = None
-        for u in {x for f in front for x in nbrs[f] if not placed[x]}:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
             linked = nbrs[u] & front
-            size = (len(front) + (open_nbrs[u] > 0)
-                    - sum(1 for f in linked if open_nbrs[f] == 1))
-            key = (size, -len(linked), u)
+            key = (size + (open_nbrs[u] > 0) - (linked & ones).bit_count(),
+                   -linked.bit_count(), u)
             if best is None or key < best:
                 best = key
-        if best is None:
-            v = min((x for x in range(n) if not placed[x]),
-                    key=lambda x: (len(nbrs[x]), x))
-        else:
-            v = best[2]
+        v = best[2]
 
 
 def sweep(g: Graph, weight, limit) -> list[Step] | None:
@@ -131,17 +156,21 @@ def sweep(g: Graph, weight, limit) -> list[Step] | None:
     order stays within ``limit``; [] for the empty graph.
     """
     n = g.n
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    ends: list[list[int]] = [[] for _ in range(n)]  # one entry per edge end
+    nbrs = [0] * n
+    mult: list[dict[int, int]] = [{} for _ in range(n)]  # edges per end pair
     for u, v in g.edges:
-        ends[u].append(v)
+        mult[u][v] = mult[u].get(v, 0) + 1
         if u != v:
-            ends[v].append(u)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            mult[v][u] = mult[v].get(u, 0) + 1
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    ends = [[sum(1 << u for u, c in m.items() if c > t)
+             for t in range(max(m.values(), default=0))] for m in mult]
+    ones = sum(1 << u for u in range(n) if nbrs[u].bit_count() == 1)
+    by_degree = sorted(range(n), key=lambda x: (nbrs[x].bit_count(), x))
     order = None if n else []
-    for start in sorted(range(n), key=lambda x: (len(nbrs[x]), x)):
-        found = _greedy(n, nbrs, ends, start, weight, limit)
+    for start in by_degree:
+        found = _greedy(n, nbrs, ends, by_degree, ones, start, weight, limit)
         if found is not None:
             order, work = found
             limit = work - 1
@@ -187,9 +216,12 @@ def transfer_steps(g: Graph, order) -> list[Step]:
 
 
 def _canon(codes) -> tuple[int, ...]:
-    """Renumber blocks in order of first appearance; code = 2*block + label."""
+    """Renumber blocks in order of first appearance; code = 2*block + label.
+    The code _ALONE passes through unchanged."""
     ids: dict[int, int] = {}
-    return tuple((ids.setdefault(c >> 1, len(ids)) << 1) | (c & 1) for c in codes)
+    return tuple(c if c == _ALONE
+                 else (ids.setdefault(c >> 1, len(ids)) << 1) | (c & 1)
+                 for c in codes)
 
 
 def _shift(poly: dict[int, int], mono: int) -> dict[int, int]:
@@ -211,11 +243,12 @@ def _put(layer: dict, state, poly: dict[int, int]) -> None:
 
 
 def _retire(layer: dict, front: list[int], y: int, moves: dict,
-            close_s: int) -> dict:
+            close_s: int, unit_w: int) -> dict:
     """Drop ``y``, whose edges are all decided, from the frontier; its block
     closes if ``y`` was the block's last frontier vertex: one more closed
     block in the key, and for a distinguished block one more s, a shift
-    of the value by ``close_s`` bits."""
+    of the value by ``close_s`` bits.  A ``y`` still alone closes both
+    ways at once: qt, or s times its own w."""
     i = front.index(y)
     del front[i]
     nxt: dict = {}
@@ -225,18 +258,31 @@ def _retire(layer: dict, front: list[int], y: int, moves: dict,
         if move is None:
             c = st[i]
             rest = st[:i] + st[i + 1:]
-            move = moves[st, i] = (_canon(rest), None if c in rest else c & 1)
+            label = None if c in rest else c if c == _ALONE else c & 1
+            move = moves[st, i] = (_canon(rest), label)
         to, label = move
         if label == 1:
             poly = {k + 1: c << close_s for k, c in poly.items()}
         elif label == 0:
             poly = _shift(poly, 1)
+        elif label == _ALONE:
+            both = close_s + unit_w
+            poly = {k + 1: c + (c << both) for k, c in poly.items()}
         _put(nxt, to, poly)
     return nxt
 
 
 def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], int]:
     """Z in the qt = q - s basis, as {(qt, s, v, w) exponents: coefficient}.
+
+    A vertex enters with the code _ALONE, outside the block numbering, and
+    no label.  Its first chosen edge to an earlier vertex puts it in that
+    vertex's block, with the block's label and, for a distinguished block,
+    its w; only after that can an edge be refused for a label mismatch.
+    A vertex still alone after its step is split into a free and a
+    distinguished block as the next vertex enters, and one that retires
+    alone closes as qt + s w.  So a state doubles only where its newest
+    vertex stayed alone, not at every entry.
 
     A vertex that a step retires leaves the frontier right after its last
     edge, before the step's later edges, so those run on fewer states: on
@@ -264,9 +310,13 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
         nxt: dict = {}
         while layer:
             st, poly = layer.popitem()
-            b = 2 * (max(st) // 2 + 1) if st else 0
-            nxt[st + (b | 1,)] = {k: c << width for k, c in poly.items()}
-            nxt[st + (b,)] = poly
+            if st and st[-1] == _ALONE:  # the last vertex stayed alone
+                st = st[:-1]
+                b = 2 * (max(st) // 2 + 1) if st else 0
+                _put(nxt, st + (b | 1, _ALONE),
+                     {k: c << width for k, c in poly.items()})
+                st += (b,)
+            _put(nxt, st + (_ALONE,), poly)
         layer = nxt
         front.append(x)
         for e, y in enumerate(back):
@@ -279,10 +329,13 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
                     chosen = _shift(poly, unit_v)
                     _put(nxt, st, poly)
                     _put(nxt, st, chosen)
-                elif (ci ^ cj) & 1:  # labels differ: only the unchosen edge
-                    _put(nxt, st, poly)
+                elif cj != _ALONE and (ci ^ cj) & 1:
+                    _put(nxt, st, poly)  # labels differ: only the unchosen edge
                 else:
-                    chosen = _shift(poly, unit_v)
+                    if cj == _ALONE and ci & 1:  # x's first block: its w
+                        chosen = {k + unit_v: c << width for k, c in poly.items()}
+                    else:
+                        chosen = _shift(poly, unit_v)
                     _put(nxt, st, poly)
                     to = merges.get((st, ci, cj))
                     if to is None:
@@ -292,9 +345,9 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
             layer = nxt
             # a vertex that retires here, other than x, has its last edge to x
             if y != x and y in retire and y not in back[e + 1:]:
-                layer = _retire(layer, front, y, retires, row)
+                layer = _retire(layer, front, y, retires, row, width)
         if x in retire:
-            layer = _retire(layer, front, x, retires, row)
+            layer = _retire(layer, front, x, retires, row, width)
     (poly,) = layer.values()
     field, row_field = (1 << width) - 1, (1 << row) - 1
     out = {}

@@ -48,11 +48,15 @@ class MultiPoly:
     @classmethod
     def _trusted(cls, terms: dict[Exponent, int]) -> "MultiPoly":
         """Wrap terms whose keys are already distinct 4-tuples of
-        non-negative ints, dropping zero coefficients only.  For engine
-        output and this class's own results; callers outside the package
-        use the validating constructor."""
+        non-negative ints, dropping zero coefficients only.  The dict is
+        taken over, not copied, so the caller hands over a fresh one and
+        keeps no reference.  For engine output and this class's own
+        results; callers outside the package use the validating
+        constructor."""
+        for e in [e for e, c in terms.items() if not c]:
+            del terms[e]
         res = cls.__new__(cls)
-        res.terms = {e: c for e, c in terms.items() if c}
+        res.terms = terms
         return res
 
     @classmethod
@@ -197,10 +201,12 @@ class MultiPoly:
     def substitute(self, **bindings) -> "MultiPoly":
         """Simultaneously substitute variables by ints or polynomials.
 
-        Each bound variable gets one row of powers up to its degree.  A
-        term's int powers multiply its coefficient; its polynomial powers,
-        when some variable is bound to a polynomial, are multiplied out
-        into the exponents it keeps.  Any other binding raises TypeError.
+        Each bound variable keeps a row of its powers, extended the first
+        time a term needs a higher one.  A term's int powers multiply its
+        coefficient; its polynomial powers, when some variable is bound to
+        a polynomial, are multiplied out into the exponents it keeps.  Any
+        other binding raises TypeError.  The result never shares its terms
+        with ``self``.
         """
         for name, val in bindings.items():
             if name not in _IDX:
@@ -208,28 +214,30 @@ class MultiPoly:
             if not isinstance(val, (int, MultiPoly)):
                 raise TypeError(f"cannot substitute {type(val).__name__} "
                                 f"for {name}; bind an int or a MultiPoly")
-        if not bindings:
-            return self
         int_rows, poly_rows = [], []
         for i, name in enumerate(VARS):
             if name in bindings:
                 val = bindings[name]
                 poly = isinstance(val, MultiPoly)
-                row = [ONE if poly else 1]
-                for _ in range(self.degree(name)):
-                    row.append(row[-1] * val)
-                (poly_rows if poly else int_rows).append((i, row))
+                (poly_rows if poly else int_rows).append(
+                    (i, val, [ONE if poly else 1]))
         k0, k1, k2, k3 = (name not in bindings for name in VARS)
         out: dict[Exponent, int] = {}
         get = out.get
         for exp, c in self.terms.items():
-            for i, row in int_rows:
+            for i, val, row in int_rows:
+                while len(row) <= exp[i]:
+                    row.append(row[-1] * val)
                 c *= row[exp[i]]
+            if not c:
+                continue
             key = (exp[0] * k0, exp[1] * k1, exp[2] * k2, exp[3] * k3)
             if poly_rows:
                 part = None
-                for i, row in poly_rows:
+                for i, val, row in poly_rows:
                     if exp[i]:
+                        while len(row) <= exp[i]:
+                            row.append(row[-1] * val)
                         pw = row[exp[i]]
                         part = pw if part is None else part * pw
                 if part is not None:

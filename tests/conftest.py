@@ -5,8 +5,10 @@ gate, so every expensive polynomial is computed once per session.
 """
 
 import json
+import math
 import os
 import signal
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -44,16 +46,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+# every test's own limit; a test may set a shorter one with time_limit
+TEST_SECONDS = 120
+
+
 @contextmanager
 def time_limit(seconds: int):
-    """Fail instead of hanging where SIGALRM exists; no limit elsewhere."""
+    """Fail instead of hanging where SIGALRM exists; no limit elsewhere.
+
+    Limits nest: inside an enclosing limit that ends sooner, that one
+    stays in force, and on leaving, the enclosing limit gets back the time
+    it had left."""
     if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    outer = signal.alarm(0)  # seconds the enclosing limit had left, or 0
+    if outer and outer <= seconds:
+        signal.alarm(outer)
         yield
         return
 
     def expire(signum, frame):
-        raise AssertionError(f"still walking after {seconds} s")
+        raise AssertionError(f"still running after {seconds} s")
 
+    started = time.monotonic()
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
@@ -61,6 +77,25 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.alarm(max(1, math.ceil(outer - (time.monotonic() - started))))
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit():
+    """A test that loops forever fails after TEST_SECONDS, not hangs."""
+    with time_limit(TEST_SECONDS):
+        yield
+
+
+def assert_owns_its_terms(result, source: dict, saved: dict) -> None:
+    """The MultiPoly ``result`` holds no zero coefficient, and clearing
+    and extending its terms leaves ``source`` equal to ``saved``, its
+    copy from before."""
+    assert 0 not in result.terms.values()
+    result.terms.clear()
+    result.terms[(9, 9, 9, 9)] = 1
+    assert source == saved
 
 
 def engine_of(g: Graph):

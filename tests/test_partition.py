@@ -9,6 +9,8 @@ assignments (oracle path).  These tests insist the routes agree exactly.
 import itertools
 import math
 import os
+import signal
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import engine_of, time_limit
+from conftest import (TEST_SECONDS, assert_owns_its_terms, engine_of,
+                      time_limit)
 from chromfield import partition
 from chromfield.errors import (BadDecompositionError, BadInputError,
                                CapExceededError, LoopyGraphError)
@@ -25,11 +28,11 @@ from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                enumerate_spanning_subgraphs, grid_graph,
                                line_graph, make_family, null_graph,
                                square_with_diagonal, star_graph)
-from chromfield.partition import (DEFAULT_VERTEX_CAP, chromatic_number,
-                                  chromatic_poly, layers, oracle_count_table,
-                                  oracle_ph, oracle_z, ph_poly, subgraph_counts,
-                                  tutte_poly, z_poly, zero_field_by_walk,
-                                  zero_field_poly)
+from chromfield.partition import (DEFAULT_VERTEX_CAP, _qt_to_z,
+                                  chromatic_number, chromatic_poly, layers,
+                                  oracle_count_table, oracle_ph, oracle_z,
+                                  ph_poly, subgraph_counts, tutte_poly, z_poly,
+                                  zero_field_by_walk, zero_field_poly)
 from chromfield.identities import identity_suite
 from chromfield.poly import ONE, Q, S, V, W, MultiPoly
 
@@ -421,6 +424,39 @@ def test_tutte_recovers_zero_field_partition_sum(g):
             via_tutte = (Fraction(q) ** k * v ** (g.n - k)
                          * t.evaluate(q=x, s=y, v=0, w=0))
             assert direct == via_tutte
+
+
+@given(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(4))),
+                       st.integers(0, 9), max_size=8))
+def test_qt_basis_conversion_owns_its_terms(acc):
+    # zero counts included: the result must drop them, not the input
+    saved = dict(acc)
+    assert_owns_its_terms(_qt_to_z(acc), acc, saved)
+
+
+def test_tutte_polynomial_owns_its_terms():
+    g = square_with_diagonal()
+    t = tutte_poly(g)
+    saved = dict(t.terms)
+    assert 0 not in saved.values()
+    t.terms.clear()
+    assert tutte_poly(g).terms == saved
+
+
+def test_time_limits_nest():
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("no SIGALRM: time_limit sets no limit")
+    left = signal.getitimer(signal.ITIMER_REAL)[0]  # the per-test limit
+    assert 0 < left <= TEST_SECONDS
+    with time_limit(5):
+        assert signal.getitimer(signal.ITIMER_REAL)[0] <= 5
+        with time_limit(60):  # the enclosing 5 s end sooner and stay
+            assert signal.getitimer(signal.ITIMER_REAL)[0] <= 5
+    # the per-test limit gets back the time it had left
+    assert abs(signal.getitimer(signal.ITIMER_REAL)[0] - left) < 2
+    with pytest.raises(AssertionError, match="still running after 1 s"):
+        with time_limit(1):
+            time.sleep(5)
 
 
 # -- the slices of Z against the walk's own decode -------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_owns_its_terms
 from chromfield.poly import (ONE, Q, S, V, VARS, W, MultiPoly, RationalExpr,
                              exact_div)
 
@@ -156,6 +157,18 @@ def test_own_results_are_canonical(a, name, k):
         assert r is not None
         assert 0 not in r.terms.values()
         assert MultiPoly(r.terms) == r
+
+
+@given(polys, st.sampled_from(VARS), st.integers(-2, 2), polys)
+@settings(max_examples=60)
+def test_results_never_share_terms_with_their_input(a, name, k, b):
+    saved = dict(a.terms)
+    for make in (lambda: a.substitute(**{name: k}),
+                 lambda: a.substitute(**{name: b}),
+                 lambda: a.substitute(),
+                 lambda: a.reflect(name, 3 + abs(k)),
+                 *(lambda d=d: a.coeffs_in(name)[d] for d in a.coeffs_in(name))):
+        assert_owns_its_terms(make(), a.terms, saved)
 
 
 def test_degree_and_content():
