@@ -21,16 +21,36 @@ its last frontier vertex retires.
 
 A state's polynomial in qt = q - s, s, v and w is a dict from a packed
 key -- k, the number of blocks already closed, and the v exponent, each
-field as wide as max(n, e) needs -- to one int that packs the polynomial
-in s and w (Kronecker substitution): the count of s^j w^d sits at bit
-(j * (n + 1) + d) * (n + e + 1).  The split of the k closed blocks into
-free (qt) and distinguished (s) rides inside the int, so a state holds a
-few keys per v exponent, not one per (qt, s, v).  A vertex entering a
-distinguished block multiplies by w with one shift of each int, a closing
-block adds 1 to the key (and for a distinguished block multiplies by s,
-one shift by (n + 1) * (n + e + 1)), and merging two states adds ints;
-``transfer_z`` unpacks the slots at the end, qt's exponent being k - j.
-Every coefficient is exact and non-negative.
+field ``Packing.bits`` wide -- to one int that packs the polynomial in s
+and w (Kronecker substitution): the coefficient of s^j w^d sits at bit
+(j * (n + 1) + d) * width, and qt's exponent is k - j.  The split of the
+k closed blocks into free (qt) and distinguished (s) rides inside the
+int, so a state holds a few keys per v exponent, not one per (qt, s, v).
+A vertex entering a distinguished block multiplies by w with one shift
+of each int, a closing block adds 1 to the key (and for a distinguished
+block multiplies by s, one shift by a row of (n + 1) * width bits), and
+merging two states adds ints.
+
+``Packing`` decides that layout for all three engines and turns it into
+Z in (q, s, v, w); the walk and the subset sum reach it through
+``Packing.blocks``, the packed product of (qt + s w^size) over a
+component-size multiset.  For one key, sum_j s^j qt^(k-j) R_j(w) is
+homogeneous of degree k in q and s, so with s = 1 and X = 2^row it is
+sum_j R_j (X - 1)^(k-j): a Taylor shift by -1 (von zur Gathen &
+Gerhard, ISSAC 1997), which Horner's rule does in k big-int steps,
+acc * X - acc + R_j.  The coefficient of X^r is the packed w-row of
+q^r s^(k-r); each row is read once as a signed int and its slots walked
+with one borrow.  No qt-basis dict is built.
+
+A slot is width = bitlen(2^e 3^n) + 2 bits.  Every coefficient of Z in
+(q, s, v, w) is a signed sum over at most 2^e edge sets of at most 3^n
+terms of +-1 -- one per choice of q, -s or s w^size in each component's
+factor -- so it lies strictly inside +-2^(width - 2).  Each slot then
+reads as a signed number, and a whole row, its top slot included, as one
+signed int of row bits; |c| < 2^(width - 1) would already do, so the
+second spare bit is margin.  The counts the transfer carries, of (edge
+subset, block label) configurations, are non-negative and below
+2^(n+e) < 2^width, so no slot carries into the next there either.
 
 The plan is shared with the coloring oracle in ``partition``, which sweeps
 the colors of the frontier in place of its partitions.  ``sweep`` builds
@@ -58,6 +78,7 @@ from __future__ import annotations
 import math
 
 from .graphs import Graph
+from .poly import MultiPoly
 
 # Labelled Bell numbers sum_k S(m, k) 2^k: the most states a frontier of
 # m vertices can hold.
@@ -215,6 +236,74 @@ def transfer_steps(g: Graph, order) -> list[Step]:
     return [(x, tuple(back[x]), tuple(retire[pos[x]])) for x in order]
 
 
+class Packing:
+    """The packed layout of Z that every engine sums into (see the module
+    docstring): key fields of ``bits`` bits, slots of ``width`` bits, and
+    one row of ``row`` bits per power of s."""
+
+    __slots__ = ("bits", "width", "row")
+
+    def __init__(self, n: int, e: int):
+        self.bits = max(n, e, 1).bit_length()
+        self.width = ((3 ** n) << e).bit_length() + 2
+        self.row = (n + 1) * self.width
+
+    def key(self, k: int, m: int) -> int:
+        """The key of k closed blocks and v^m."""
+        return m << self.bits | k
+
+    def blocks(self, sizes) -> tuple[int, int]:
+        """The number of blocks and the packed product of (qt + s w^size)
+        over ``sizes``, (size, count) pairs: one shift-add per block."""
+        k, p = 0, 1
+        for sz, cnt in sizes:
+            shift = self.row + sz * self.width
+            for _ in range(cnt):
+                p += p << shift
+            k += cnt
+        return k, p
+
+    def z(self, packed: dict[int, int]) -> MultiPoly:
+        """Z in (q, s, v, w) from packed terms, whose slots hold the
+        non-negative counts every engine sums: a Horner pass in X - 1 per
+        key, then one signed read of each row it gives."""
+        bits, width, row = self.bits, self.width, self.row
+        kmask = (1 << bits) - 1
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        row_field, row_half = (1 << row) - 1, 1 << (row - 1)
+        out: dict[tuple[int, int, int, int], int] = {}
+        for key, c in packed.items():
+            k, m = key & kmask, key >> bits
+            acc = 0
+            for _ in range(k + 1):  # s^0's row first: it takes (X - 1)^k
+                acc = (acc << row) - acc + (c & row_field)
+                c >>= row
+            qe = 0
+            while acc:  # the row of q^qe s^(k - qe)
+                r = acc & row_field
+                acc >>= row
+                if r >= row_half:
+                    r -= 1 << row
+                    acc += 1
+                se = k - qe
+                d = 0
+                while r:
+                    part = r & field
+                    if not part:  # skip to the lowest set bit's slot
+                        skip = ((r & -r).bit_length() - 1) // width
+                        r >>= skip * width
+                        d += skip
+                        continue
+                    r >>= width
+                    if part >= half:
+                        part -= 1 << width
+                        r += 1
+                    out[qe, se, m, d] = part
+                    d += 1
+                qe += 1
+        return MultiPoly._trusted(out)
+
+
 def _canon(codes) -> tuple[int, ...]:
     """Renumber blocks in order of first appearance; code = 2*block + label.
     The code _ALONE passes through unchanged."""
@@ -272,8 +361,14 @@ def _retire(layer: dict, front: list[int], y: int, moves: dict,
     return nxt
 
 
-def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], int]:
-    """Z in the qt = q - s basis, as {(qt, s, v, w) exponents: coefficient}.
+def transfer_z(g: Graph, steps: list[Step]) -> MultiPoly:
+    """Z(G, q, s, v, w) by the transfer over ``steps``."""
+    pack = Packing(g.n, g.e)
+    return pack.z(transfer_packed(g, steps, pack))
+
+
+def transfer_packed(g: Graph, steps: list[Step], pack: Packing) -> dict[int, int]:
+    """Z in ``pack``'s layout, {key: packed int}, by the transfer.
 
     A vertex enters with the code _ALONE, outside the block numbering, and
     no label.  Its first chosen edge to an earlier vertex puts it in that
@@ -287,21 +382,10 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
     A vertex that a step retires leaves the frontier right after its last
     edge, before the step's later edges, so those run on fewer states: on
     C10(1,2) this halved the peak memory and took a third off the time.
-    A state's terms are keyed by (closed blocks, v) with the s and w
-    exponents packed into each coefficient int, as the module docstring
-    says.  Each state move -- a merge of two blocks, a retirement -- is
+    Each state move -- a merge of two blocks, a retirement -- is
     canonicalized once per call and then looked up.
     """
-    n = g.n
-    bits = max(n, g.e, 1).bit_length()
-    mask = (1 << bits) - 1
-    unit_v = 1 << bits
-    # s^j w^d's count sits at bit (j * (n + 1) + d) * width of the packed
-    # value.  A slot never carries into the next: every count is of (edge
-    # subset, block label) configurations, at most 2^(n+e) < 2^width, and
-    # no coefficient in the qt basis is negative.
-    width = n + g.e + 1
-    row = (n + 1) * width
+    unit_v, width, row = 1 << pack.bits, pack.width, pack.row
     front: list[int] = []
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     merges: dict = {}
@@ -349,19 +433,4 @@ def transfer_z(g: Graph, steps: list[Step]) -> dict[tuple[int, int, int, int], i
         if x in retire:
             layer = _retire(layer, front, x, retires, row, width)
     (poly,) = layer.values()
-    field, row_field = (1 << width) - 1, (1 << row) - 1
-    out = {}
-    for key, c in poly.items():
-        k, ve = key & mask, key >> bits
-        se = 0
-        while c:  # one row of slots per s exponent, zero slots skipped
-            r = c & row_field
-            while r:
-                at = (r & -r).bit_length() - 1
-                at -= at % width
-                part = (r >> at) & field
-                out[k - se, se, ve, at // width] = part
-                r ^= part << at
-            c >>= row
-            se += 1
-    return out
+    return poly

@@ -11,9 +11,10 @@ chromatic polynomial Ph(G, q, s, w): the sum over proper q-colorings of
 w^{#vertices colored from the distinguished set {1..s}}.  Setting s = 0 (or
 w = 1) recovers the random-cluster form sum v^{e'} q^{k'}.
 
-Three engines compute Z; all assemble it in the basis qt = q - s and
-convert to (q, s, v, w) once at the end, and all are bound by the same
-edge and vertex caps.
+Three engines compute Z, all bound by the same edge and vertex caps.
+All three sum it in the basis qt = q - s in one packed layout,
+``frontier.Packing``, which turns it into (q, s, v, w) by one Horner
+pass per (closed blocks, v exponent) key.
 
 - The walk (``subgraph_counts``) goes depth-first over the edges with a
   rollback union-find and branches only on edges that join two
@@ -351,53 +352,24 @@ def _decode_multiset(key: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _multiset_product(sizes: list[tuple[int, int]]) -> dict[tuple[int, int, int], int]:
-    """Expand prod (qt + s*w^sz)^cnt as {(qt_exp, s_exp, w_exp): coeff}."""
-    prod = {(0, 0, 0): 1}
-    for sz, cnt in sizes:
-        factor = {}
-        for r in range(cnt + 1):
-            factor[(cnt - r, r, r * sz)] = math.comb(cnt, r)
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (a1, s1, w1), c1 in prod.items():
-            for (a2, s2, w2), c2 in factor.items():
-                k = (a1 + a2, s1 + s2, w1 + w2)
-                nxt[k] = nxt.get(k, 0) + c1 * c2
-        prod = nxt
-    return prod
-
-
 def _counts_to_z(counts: dict[int, int], n: int) -> MultiPoly:
-    by_key: dict[int, dict[int, int]] = {}
+    """Z from subgraph counters: each distinct multiset's packed product of
+    (qt + s w^size) times its counts, summed by (blocks, edges) in
+    ``frontier.Packing``'s layout and assembled there.  The counts sum to
+    2^e, which sizes the slots."""
+    pack = frontier.Packing(n, (sum(counts.values()) - 1).bit_length())
+    products: dict[int, tuple[int, int]] = {}
+    acc: dict[int, int] = {}
+    get = acc.get
     for pk, c in counts.items():
-        by_key.setdefault(pk >> _CNT_BITS, {})[pk & _CNT_MASK] = c
-    # accumulate in the qt = q - s basis, slots (qt, s, v, w)
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for key, vcounts in by_key.items():
-        prod = _multiset_product(_decode_multiset(key, n))
-        for m, mult in vcounts.items():
-            for (a, se, we), c in prod.items():
-                k = (a, se, m, we)
-                acc[k] = acc.get(k, 0) + mult * c
-    return _qt_to_z(acc)
-
-
-def _qt_to_z(acc: dict[tuple[int, int, int, int], int]) -> MultiPoly:
-    """Z from its (qt, s, v, w) coefficients: one binomial pass
-    qt^a -> sum_r C(a, r) q^r (-s)^(a-r)."""
-    out: dict[tuple[int, int, int, int], int] = {}
-    get = out.get
-    rows: dict[int, list[int]] = {}  # qt-degree a -> C(a, r) (-1)^(a-r)
-    for (a, se, ve, we), c in acc.items():
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = [math.comb(a, r) * (-1) ** ((a - r) & 1)
-                             for r in range(a + 1)]
-        se += a
-        for r, b in enumerate(row):
-            k = (r, se - r, ve, we)
-            out[k] = get(k, 0) + c * b
-    return MultiPoly._trusted(out)
+        key = pk >> _CNT_BITS
+        prod = products.get(key)
+        if prod is None:
+            prod = products[key] = pack.blocks(_decode_multiset(key, n))
+        k, p = prod
+        at = pack.key(k, pk & _CNT_MASK)
+        acc[at] = get(at, 0) + c * p
+    return pack.z(acc)
 
 
 def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
@@ -416,7 +388,7 @@ def z_poly(g: Graph, workers: int = 1) -> MultiPoly:
     # is held only to the walk's bound
     steps = frontier.plan(g, min(walk, subsets) if g.e <= _CNT_MASK else walk)
     if steps is not None:
-        return _qt_to_z(frontier.transfer_z(g, steps))
+        return frontier.transfer_z(g, steps)
     counts = _subset_counts(g) if subsets < walk else subgraph_counts(g, workers)
     return _counts_to_z(counts, g.n)
 

@@ -333,7 +333,7 @@ class MultiPoly:
         coeffs = self.coeffs_in(name)
         deg = self.degree(name)
         if deg < 0:
-            return self  # zero divides exactly
+            return MultiPoly.zero()  # zero divides exactly
         quot: dict[int, MultiPoly] = {}
         carry = MultiPoly.zero()
         for k in range(deg, 0, -1):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import (TEST_SECONDS, assert_owns_its_terms, engine_of,
                       time_limit)
-from chromfield import partition
+from chromfield import frontier, partition
 from chromfield.errors import (BadDecompositionError, BadInputError,
                                CapExceededError, LoopyGraphError)
 from chromfield.families import z_line
@@ -28,8 +28,8 @@ from chromfield.graphs import (Graph, circuit_graph, complete_graph,
                                enumerate_spanning_subgraphs, grid_graph,
                                line_graph, make_family, null_graph,
                                square_with_diagonal, star_graph)
-from chromfield.partition import (DEFAULT_VERTEX_CAP, _qt_to_z,
-                                  chromatic_number, chromatic_poly, layers,
+from chromfield.partition import (DEFAULT_VERTEX_CAP, chromatic_number,
+                                  chromatic_poly, layers,
                                   oracle_count_table, oracle_ph, oracle_z,
                                   ph_poly, subgraph_counts, tutte_poly, z_poly,
                                   zero_field_by_walk, zero_field_poly)
@@ -429,9 +429,19 @@ def test_tutte_recovers_zero_field_partition_sum(g):
 @given(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(4))),
                        st.integers(0, 9), max_size=8))
 def test_qt_basis_conversion_owns_its_terms(acc):
-    # zero counts included: the result must drop them, not the input
-    saved = dict(acc)
-    assert_owns_its_terms(_qt_to_z(acc), acc, saved)
+    # qt-basis counts {(qt, s, v, w) exponents: count} packed as the
+    # engines pack them, zero counts included: the assembled Z is their
+    # sum in the q basis and must drop the zeros, not touch its input
+    pack = frontier.Packing(3, 6)
+    packed: dict[int, int] = {}
+    for (a, j, m, d), c in acc.items():
+        key = pack.key(a + j, m)
+        packed[key] = packed.get(key, 0) + (c << j * pack.row + d * pack.width)
+    saved = dict(packed)
+    z = pack.z(packed)
+    assert z == sum((c * QT ** a * S ** j * V ** m * W ** d
+                     for (a, j, m, d), c in acc.items()), MultiPoly.zero())
+    assert_owns_its_terms(z, packed, saved)
 
 
 def test_tutte_polynomial_owns_its_terms():

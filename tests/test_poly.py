@@ -169,6 +169,9 @@ def test_results_never_share_terms_with_their_input(a, name, k, b):
                  lambda: a.reflect(name, 3 + abs(k)),
                  *(lambda d=d: a.coeffs_in(name)[d] for d in a.coeffs_in(name))):
         assert_owns_its_terms(make(), a.terms, saved)
+    zero = MultiPoly.zero()
+    for make in (lambda: zero.div_linear(name, k), lambda: zero.shift_down(name)):
+        assert_owns_its_terms(make(), zero.terms, {})
 
 
 def test_degree_and_content():

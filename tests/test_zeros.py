@@ -16,8 +16,7 @@ from chromfield import frontier
 from chromfield.errors import (BadInputError, DegenerateDenominatorError,
                                NoConvergenceError, PreconditionUnmetError)
 from chromfield.graphs import Graph, circuit_graph, line_graph
-from chromfield.partition import (_counts_to_z, _qt_to_z, ph_poly,
-                                  subgraph_counts, z_poly)
+from chromfield.partition import _counts_to_z, ph_poly, subgraph_counts, z_poly
 from chromfield.poly import Q, S, V, W
 from chromfield.zeros import (aberth, l1_q_zero, l1_s_zero, l1_w_zero,
                               l2_q_zeros, l2_s_zeros, l2_s_zeros_near_w1,
@@ -271,7 +270,7 @@ def test_slices_do_not_depend_on_vertex_labels():
 def test_walk_and_frontier_give_identical_slices():
     g = _circulant_9_12()
     walk = _counts_to_z(subgraph_counts(g), g.n)
-    front = _qt_to_z(frontier.transfer_z(g, frontier.transfer_steps(g, range(g.n))))
+    front = frontier.transfer_z(g, frontier.transfer_steps(g, range(g.n)))
     assert walk == front and list(walk.terms) != list(front.terms)
     for mode, var, fixed in SLICES:
         a, b = ((z.substitute(v=-1) if mode == "ph" else z) for z in (walk, front))
